@@ -3,9 +3,11 @@
 Subcommands: directions, audit, mitigate, eval-similarity, eval-translation,
 eval-pairs, export-projections, correlate.  Every output file embeds a
 config block (seed, n_perm, max_words, tool version, input digests) and
-reruns with an identical config are byte-identical.
+reruns with an identical config are byte-identical.  Each subcommand
+accepts only the flags it reads; any other flag is a usage error.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation or usage error (and out of memory,
+reported as ``error: out of memory: ...``), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -105,22 +107,26 @@ def _require(args, *names):
             raise ValueError(f"{flag} is required for this invocation")
 
 
+def _directions_for(args, space, lex):
+    """The direction bundle for `directions` and `export-projections`:
+    pooled over both languages when --embeddings-en is given."""
+    if args.embeddings_en is None:
+        return build_directions(space, lex, ridge=args.ridge, seed=args.seed)
+    _require(args, "lexicon_en")
+    en_space = _load_space(args.embeddings_en, args.max_words)
+    en_lex = load_lexicon(args.lexicon_en)
+    return bilingual_directions(BilingualSpace(space, en_space), lex,
+                                en_lex.definitional_pairs,
+                                ridge=args.ridge, seed=args.seed)
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
 def cmd_directions(args):
-    _require(args, "embeddings", "lexicon", "out")
     space = _load_space(args.embeddings, args.max_words)
     lex = _load_lexicon_for(space, args.lexicon)
-    if args.embeddings_en is not None:
-        _require(args, "lexicon_en")
-        en_space = _load_space(args.embeddings_en, args.max_words)
-        en_lex = load_lexicon(args.lexicon_en)
-        dirs = bilingual_directions(BilingualSpace(space, en_space), lex,
-                                    en_lex.definitional_pairs,
-                                    ridge=args.ridge, seed=args.seed)
-    else:
-        dirs = build_directions(space, lex, ridge=args.ridge, seed=args.seed)
+    dirs = _directions_for(args, space, lex)
     config = _config_block(args)
     _write_json(args.out, {"config": config, "directions": dirs.to_json_dict()})
     print(f"wrote {args.out}: overlap={dirs.overlap:+.4f} "
@@ -129,7 +135,6 @@ def cmd_directions(args):
 
 
 def cmd_audit(args):
-    _require(args, "embeddings", "lexicon", "out")
     space = _load_space(args.embeddings, args.max_words)
     lex = _load_lexicon_for(space, args.lexicon)
     report = audit_bias(lex, space, n_perm=args.n_perm, seed=args.seed)
@@ -142,15 +147,7 @@ def cmd_audit(args):
           f"p={report.p_value:.4f} (n_perm={report.n_permutations})")
 
 
-def _mitigate_monolingual(args, space, lex):
-    dirs = build_directions(space, lex, ridge=args.ridge, seed=args.seed)
-    return mitigate_shift_ori(space, lex, dirs), dirs
-
-
 def cmd_mitigate(args):
-    _require(args, "embeddings", "lexicon", "out", "method")
-    if args.method not in METHODS:
-        raise ValueError(f"unknown method {args.method!r}; choose from {METHODS}")
     space = _load_space(args.embeddings, args.max_words)
     lex = _load_lexicon_for(space, args.lexicon)
     out_dir = Path(args.out)
@@ -160,7 +157,8 @@ def cmd_mitigate(args):
     extra: dict = {}
 
     if args.method == "shift_ori":
-        outcome, dirs = _mitigate_monolingual(args, space, lex)
+        dirs = build_directions(space, lex, ridge=args.ridge, seed=args.seed)
+        outcome = mitigate_shift_ori(space, lex, dirs)
         mitigated_source = outcome.source_space
         english_out = None
     else:
@@ -212,7 +210,6 @@ def cmd_mitigate(args):
 
 
 def cmd_eval_similarity(args):
-    _require(args, "embeddings", "dataset", "out")
     space = _load_space(args.embeddings, args.max_words)
     dataset = load_similarity_dataset(args.dataset)
     report = word_similarity_eval(space, dataset)
@@ -224,7 +221,6 @@ def cmd_eval_similarity(args):
 
 
 def cmd_eval_translation(args):
-    _require(args, "embeddings", "embeddings_en", "dict", "out")
     space = _load_space(args.embeddings, args.max_words)
     en_space = _load_space(args.embeddings_en, args.max_words)
     dictionary = load_bilingual_dictionary(args.dict)
@@ -241,7 +237,6 @@ def cmd_eval_translation(args):
 
 
 def cmd_eval_pairs(args):
-    _require(args, "embeddings", "embeddings_en", "lexicon", "out")
     space = _load_space(args.embeddings, args.max_words)
     en_space = _load_space(args.embeddings_en, args.max_words)
     lex = _load_lexicon_for(space, args.lexicon)
@@ -262,18 +257,9 @@ def cmd_eval_pairs(args):
 
 
 def cmd_export_projections(args):
-    _require(args, "embeddings", "lexicon", "out")
     space = _load_space(args.embeddings, args.max_words)
     lex = _load_lexicon_for(space, args.lexicon)
-    if args.embeddings_en is not None:
-        _require(args, "lexicon_en")
-        en_space = _load_space(args.embeddings_en, args.max_words)
-        en_lex = load_lexicon(args.lexicon_en)
-        dirs = bilingual_directions(BilingualSpace(space, en_space), lex,
-                                    en_lex.definitional_pairs,
-                                    ridge=args.ridge, seed=args.seed)
-    else:
-        dirs = build_directions(space, lex, ridge=args.ridge, seed=args.seed)
+    dirs = _directions_for(args, space, lex)
     annotated = []
     for m, f in lex.definitional_pairs:
         annotated.append((m, "definitional_masculine"))
@@ -294,7 +280,6 @@ def cmd_export_projections(args):
 
 
 def cmd_correlate(args):
-    _require(args, "embeddings", "lexicon", "embeddings_en", "lexicon_en", "out")
     space = _load_space(args.embeddings, args.max_words)
     lex = _load_lexicon_for(space, args.lexicon)
     en_space = _load_space(args.embeddings_en, args.max_words)
@@ -328,56 +313,77 @@ def cmd_correlate(args):
 # -- parser wiring -----------------------------------------------------------
 
 
+# Every flag the CLI knows; each subcommand declares the subset it reads.
+_FLAGS = {
+    "embeddings": dict(help="gendered-language embeddings (text format)"),
+    "embeddings-en": dict(help="English embeddings (text format)"),
+    "lexicon": dict(help="gendered-language lexicon JSON"),
+    "lexicon-en": dict(help="English lexicon JSON (definitional pairs/attributes)"),
+    "dict": dict(help="evaluation dictionary (source TAB target)"),
+    "seed-dict": dict(help="alignment seed dictionary (source TAB target)"),
+    "dataset": dict(help="similarity dataset (word1 TAB word2 TAB score)"),
+    "method": dict(choices=METHODS, help="mitigation pipeline"),
+    "n-perm": dict(type=int, default=10_000,
+                   help="permutation count (default 10000)"),
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "max-words": dict(type=int, default=None,
+                      help="load only the first N words of each space"),
+    "csls": dict(action="store_true",
+                 help="neighborhood-adjusted retrieval scores"),
+    "signed": dict(action="store_true", help="use signed per-pair scores"),
+    "ridge": dict(type=float, default=DEFAULT_RIDGE,
+                  help=f"LDA ridge coefficient (default {DEFAULT_RIDGE})"),
+    "out": dict(help="output path (directory for mitigate)"),
+}
+
+# subcommand -> (handler, help, required flags, optional flags)
+_SUBCOMMANDS = {
+    "directions": (cmd_directions,
+                   "compute grammatical/semantic gender directions",
+                   ("embeddings", "lexicon", "out"),
+                   ("embeddings-en", "lexicon-en", "seed", "max-words", "ridge")),
+    "audit": (cmd_audit, "score occupation pairs and test significance",
+              ("embeddings", "lexicon", "out"),
+              ("n-perm", "seed", "max-words", "signed")),
+    "mitigate": (cmd_mitigate, "run a mitigation pipeline",
+                 ("embeddings", "lexicon", "method", "out"),
+                 ("embeddings-en", "lexicon-en", "seed-dict", "seed",
+                  "max-words", "ridge")),
+    "eval-similarity": (cmd_eval_similarity,
+                        "word similarity benchmark (Pearson r)",
+                        ("embeddings", "dataset", "out"), ("max-words",)),
+    "eval-translation": (cmd_eval_translation, "word translation precision@k",
+                         ("embeddings", "embeddings-en", "dict", "out"),
+                         ("max-words", "csls")),
+    "eval-pairs": (cmd_eval_pairs,
+                   "gendered translation-by-analogy (MRR per gender)",
+                   ("embeddings", "embeddings-en", "lexicon", "out"),
+                   ("max-words",)),
+    "export-projections": (cmd_export_projections,
+                           "CSV of per-word projections onto both directions",
+                           ("embeddings", "lexicon", "out"),
+                           ("embeddings-en", "lexicon-en", "seed", "max-words",
+                            "ridge")),
+    "correlate": (cmd_correlate,
+                  "cross-language correlation of per-occupation bias scores",
+                  ("embeddings", "embeddings-en", "lexicon", "lexicon-en", "out"),
+                  ("max-words", "signed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gendebias",
                      description="Audit and mitigate gender bias in word "
                                  "embeddings of gendered languages.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name, func, help_text, needs=()):
+    for name, (func, help_text, required, optional) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--embeddings", help="gendered-language embeddings (text format)")
-        p.add_argument("--embeddings-en", dest="embeddings_en",
-                       help="English embeddings (text format)")
-        p.add_argument("--lexicon", help="gendered-language lexicon JSON")
-        p.add_argument("--lexicon-en", dest="lexicon_en",
-                       help="English lexicon JSON (definitional pairs/attributes)")
-        p.add_argument("--dict", help="evaluation dictionary (source TAB target)")
-        p.add_argument("--seed-dict", dest="seed_dict",
-                       help="alignment seed dictionary (source TAB target)")
-        p.add_argument("--dataset", help="similarity dataset (word1 TAB word2 TAB score)")
-        if name == "mitigate":
-            p.add_argument("--method", choices=METHODS, help="mitigation pipeline")
-        p.add_argument("--n-perm", dest="n_perm", type=int, default=10_000,
-                       help="permutation count (default 10000)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--max-words", dest="max_words", type=int, default=None,
-                       help="load only the first N words of each space")
-        p.add_argument("--csls", action="store_true",
-                       help="neighborhood-adjusted retrieval scores")
-        p.add_argument("--signed", action="store_true",
-                       help="use signed per-pair scores")
-        p.add_argument("--ridge", type=float, default=DEFAULT_RIDGE,
-                       help=f"LDA ridge coefficient (default {DEFAULT_RIDGE})")
-        p.add_argument("--out", help="output path (directory for mitigate)")
-        return p
-
-    add("directions", cmd_directions,
-        "compute grammatical/semantic gender directions")
-    add("audit", cmd_audit, "score occupation pairs and test significance")
-    add("mitigate", cmd_mitigate, "run a mitigation pipeline")
-    add("eval-similarity", cmd_eval_similarity,
-        "word similarity benchmark (Pearson r)")
-    add("eval-translation", cmd_eval_translation,
-        "word translation precision@k")
-    add("eval-pairs", cmd_eval_pairs,
-        "gendered translation-by-analogy (MRR per gender)")
-    add("export-projections", cmd_export_projections,
-        "CSV of per-word projections onto both directions")
-    add("correlate", cmd_correlate,
-        "cross-language correlation of per-occupation bias scores")
+        for flag in required:
+            p.add_argument("--" + flag, required=True, **_FLAGS[flag])
+        for flag in optional:
+            p.add_argument("--" + flag, **_FLAGS[flag])
     return parser
 
 
@@ -395,6 +401,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as e:
         message = e.args[0] if e.args else e
         print(f"error: {message}", file=sys.stderr)

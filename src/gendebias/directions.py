@@ -27,8 +27,6 @@ from .embeddings import BilingualSpace, EmbeddingSpace
 
 logger = logging.getLogger(__name__)
 
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10_000
 DEFAULT_RIDGE = 1e-3
 
 # Residual threshold below which mean-centered differences count as identical.
@@ -42,31 +40,6 @@ def project(vector: np.ndarray, direction: np.ndarray) -> float:
     if vector.shape != direction.shape:
         raise ValueError(f"dimension mismatch: {vector.shape} vs {direction.shape}")
     return float(np.dot(vector, direction))
-
-
-def _top_component(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dominant eigenpair of a PSD matrix by power iteration.
-
-    Deterministic: the start vector is the normalized all-ones vector, the
-    iteration stops when successive iterates differ by at most POWER_TOL.
-    """
-    n = cov.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    for _ in range(POWER_MAX_ITER):
-        w = cov @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # zero matrix: any unit vector is an eigenvector with eigenvalue 0
-            return v, 0.0
-        w = w / nw
-        delta = np.linalg.norm(w - v)
-        v = w
-        if delta <= POWER_TOL:
-            break
-    else:
-        logger.warning("power iteration did not converge to %g in %d steps",
-                       POWER_TOL, POWER_MAX_ITER)
-    return v, float(v @ cov @ v)
 
 
 def _dedupe_pairs(pairs: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -98,10 +71,9 @@ def _pca_over_differences(diffs: np.ndarray) -> tuple[np.ndarray, float]:
         if norm == 0.0:
             raise ValueError("definitional differences are all zero")
         return mean_diff / norm, 1.0
-    cov = centered.T @ centered / diffs.shape[0]
-    direction, top_eig = _top_component(cov)
-    total = float(np.trace(cov))
-    explained = top_eig / total if total > 0.0 else 1.0
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    direction = vt[0]
+    explained = s[0] ** 2 / (s ** 2).sum()
     if np.dot(mean_diff, direction) < 0.0:
         direction = -direction
     return direction, float(explained)
@@ -156,9 +128,11 @@ def grammatical_direction(space: EmbeddingSpace,
     cf = xf - mu_f
     pooled = (cm.T @ cm + cf.T @ cf) / (len(masc) + len(fem) - 2)
     eps = ridge * float(np.trace(pooled)) / dim
-    if eps == 0.0 and np.linalg.matrix_rank(pooled) < dim:
-        raise ValueError("pooled covariance is rank-deficient; "
-                         "set ridge > 0 to regularize")
+    if eps == 0.0:
+        s = np.linalg.svd(pooled, compute_uv=False)
+        if s.min() <= s.max() * dim * np.finfo(float).eps:
+            raise ValueError("pooled covariance is rank-deficient; "
+                             "set ridge > 0 to regularize")
     system = pooled + eps * np.eye(dim)
     try:
         d = np.linalg.solve(system, mu_f - mu_m)
@@ -298,17 +272,11 @@ class GenderDirections:
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def build_directions(space: EmbeddingSpace, lexicon, *,
-                     ridge: float = DEFAULT_RIDGE,
-                     cv_folds: int | None = 5,
-                     seed: int = 0) -> GenderDirections:
-    """Assemble the direction bundle for one monolingual space.
-
-    cv_folds=None skips cross-validation (lda_cv_accuracy stays None); it is
-    also skipped, with a log line, when a noun class is smaller than the
-    fold count.
-    """
-    d_pca, explained = semantic_direction(space, lexicon.definitional_pairs)
+def _bundle(d_pca: np.ndarray, explained: float, space: EmbeddingSpace,
+            lexicon, ridge: float, cv_folds: int | None,
+            seed: int) -> GenderDirections:
+    """Finish a bundle from its semantic PCA direction: the LDA direction
+    and its cross-validation come from the gendered-language space."""
     d_g = grammatical_direction(space, lexicon.grammatical_masculine,
                                 lexicon.grammatical_feminine, ridge=ridge)
     d_s = orthogonalize(d_pca, d_g)
@@ -324,6 +292,20 @@ def build_directions(space: EmbeddingSpace, lexicon, *,
                             pca_explained_ratio=explained,
                             overlap=float(np.dot(d_pca, d_g)),
                             lda_cv_accuracy=accuracy)
+
+
+def build_directions(space: EmbeddingSpace, lexicon, *,
+                     ridge: float = DEFAULT_RIDGE,
+                     cv_folds: int | None = 5,
+                     seed: int = 0) -> GenderDirections:
+    """Assemble the direction bundle for one monolingual space.
+
+    cv_folds=None skips cross-validation (lda_cv_accuracy stays None); it is
+    also skipped, with a log line, when a noun class is smaller than the
+    fold count.
+    """
+    d_pca, explained = semantic_direction(space, lexicon.definitional_pairs)
+    return _bundle(d_pca, explained, space, lexicon, ridge, cv_folds, seed)
 
 
 def bilingual_directions(bi: BilingualSpace, lexicon,
@@ -355,18 +337,4 @@ def bilingual_directions(bi: BilingualSpace, lexicon,
     if en_usable:
         diffs.append(_difference_rows(bi.target, en_usable))
     d_pca, explained = _pca_over_differences(np.vstack(diffs))
-    d_g = grammatical_direction(bi.source, lexicon.grammatical_masculine,
-                                lexicon.grammatical_feminine, ridge=ridge)
-    d_s = orthogonalize(d_pca, d_g)
-    accuracy = None
-    if cv_folds is not None:
-        try:
-            accuracy = lda_cross_validation(bi.source, lexicon.grammatical_masculine,
-                                            lexicon.grammatical_feminine,
-                                            folds=cv_folds, seed=seed, ridge=ridge)
-        except ValueError as e:
-            logger.info("skipping LDA cross-validation: %s", e)
-    return GenderDirections(d_pca=d_pca, d_g=d_g, d_s=d_s,
-                            pca_explained_ratio=float(explained),
-                            overlap=float(np.dot(d_pca, d_g)),
-                            lda_cv_accuracy=accuracy)
+    return _bundle(d_pca, explained, bi.source, lexicon, ridge, cv_folds, seed)

@@ -165,11 +165,13 @@ class BilingualSpace:
 
 def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
     """Read the plain-text format: header ``<count> <dim>``, then one
-    ``word c1 ... c_dim`` line per vector, single-space separated.
+    ``word c1 ... c_dim`` line per vector, single-space separated; trailing
+    spaces (fastText writes one) are ignored.
 
     Duplicate words keep the first occurrence; the number skipped is logged.
     Raises ValueError on a malformed header, wrong component count,
-    non-finite components, or an empty vocabulary.
+    non-finite components, an empty vocabulary, or a body that ends before
+    the header's count (a truncated file) while more words were wanted.
     """
     if max_words is not None and max_words < 1:
         raise ValueError(f"max_words must be positive, got {max_words}")
@@ -178,6 +180,7 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
     seen: set[str] = set()
     rows: list[np.ndarray] = []
     duplicates = 0
+    rows_read = 0
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -193,7 +196,8 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
         for lineno, line in enumerate(fh, start=2):
             if len(words) >= limit:
                 break
-            fields = line.rstrip("\n").split(" ")
+            rows_read += 1
+            fields = line.rstrip("\n").rstrip(" ").split(" ")
             if len(fields) != dim + 1:
                 raise ValueError(
                     f"{path}:{lineno}: expected {dim} components, got {len(fields) - 1}")
@@ -212,8 +216,9 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
             seen.add(word)
             words.append(word)
             rows.append(vec)
-    if not words:
-        raise ValueError(f"{path}: empty vocabulary")
+    if len(words) < limit and rows_read < count:
+        raise ValueError(f"{path}: truncated file: header declares {count} "
+                         f"words, body has {rows_read}")
     if duplicates:
         logger.warning("%s: skipped %d duplicate words (kept first occurrence)",
                        path, duplicates)

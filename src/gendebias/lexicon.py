@@ -108,9 +108,7 @@ class GenderLexicon:
                 occ.append(p)
             else:
                 p = tuple(p)
-                if len(p) == 2:
-                    occ.append(OccupationPair(*_check_words("occupation_pairs", p)))
-                elif len(p) == 3:
+                if len(p) in (2, 3):
                     occ.append(OccupationPair(*_check_words("occupation_pairs", p)))
                 else:
                     raise LexiconError(

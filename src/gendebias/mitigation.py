@@ -262,10 +262,10 @@ def procrustes_matrix(source: EmbeddingSpace, target: EmbeddingSpace,
     x = np.vstack(xs)
     y = np.vstack(ys)
     cross = y.T @ x
-    if np.linalg.matrix_rank(cross) < dim:
+    u, s, vt = np.linalg.svd(cross)
+    if s.min() <= s.max() * max(cross.shape) * np.finfo(float).eps:
         raise ValueError("rank-deficient cross-covariance; seed pairs do not "
                          "span the space")
-    u, _, vt = np.linalg.svd(cross)
     return u @ vt
 
 

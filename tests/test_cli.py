@@ -1,9 +1,32 @@
 import json
+import re
 
 import pytest
 
+import gendebias.cli
 from gendebias import lexicon_to_json_dict, save_text_embeddings
 from gendebias.cli import main
+
+# The flags each subcommand reads, and so the only ones it accepts.
+SUBCOMMAND_FLAGS = {
+    "directions": {"--embeddings", "--embeddings-en", "--lexicon",
+                   "--lexicon-en", "--seed", "--max-words", "--ridge", "--out"},
+    "audit": {"--embeddings", "--lexicon", "--n-perm", "--seed", "--max-words",
+              "--signed", "--out"},
+    "mitigate": {"--embeddings", "--embeddings-en", "--lexicon", "--lexicon-en",
+                 "--seed-dict", "--method", "--seed", "--max-words", "--ridge",
+                 "--out"},
+    "eval-similarity": {"--embeddings", "--dataset", "--max-words", "--out"},
+    "eval-translation": {"--embeddings", "--embeddings-en", "--dict",
+                         "--max-words", "--csls", "--out"},
+    "eval-pairs": {"--embeddings", "--embeddings-en", "--lexicon",
+                   "--max-words", "--out"},
+    "export-projections": {"--embeddings", "--embeddings-en", "--lexicon",
+                           "--lexicon-en", "--seed", "--max-words", "--ridge",
+                           "--out"},
+    "correlate": {"--embeddings", "--embeddings-en", "--lexicon", "--lexicon-en",
+                  "--max-words", "--signed", "--out"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +100,44 @@ class TestExitCodes:
                      "--lexicon", str(cli_files["lex"]),
                      "--method", "bogus", "--out", str(tmp_path / "m")])
         assert code == 1
+
+
+    def test_unread_flags_are_usage_errors(self, cli_files, tmp_path, capsys):
+        code = main(["audit", "--csls", "--embeddings", str(cli_files["src"]),
+                     "--lexicon", str(cli_files["lex"]),
+                     "--out", str(tmp_path / "a.json")])
+        assert code == 1
+        assert "unrecognized arguments: --csls" in capsys.readouterr().err
+        code = main(["eval-pairs", "--n-perm", "5",
+                     "--embeddings", str(cli_files["src"]),
+                     "--embeddings-en", str(cli_files["en"]),
+                     "--lexicon", str(cli_files["lex"]),
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 1
+        assert "unrecognized arguments: --n-perm 5" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_help_lists_only_own_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed - {"--help"} == SUBCOMMAND_FLAGS[command]
+
+    def test_out_of_memory_exits_one(self, cli_files, tmp_path, capsys,
+                                     monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 18.7 GiB")
+
+        monkeypatch.setattr(gendebias.cli, "word_translation_eval", exhausted)
+        code = main(["eval-translation", "--embeddings", str(cli_files["src"]),
+                     "--embeddings-en", str(cli_files["en"]),
+                     "--dict", str(cli_files["seed"]),
+                     "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: out of memory: Unable to allocate 18.7 GiB" in err
+        assert "Traceback" not in err
 
 
 class TestDirections:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import small_space
@@ -421,3 +423,29 @@ class TestBilingualDirections:
             fixture_aligned.english_lexicon.definitional_pairs)
         assert abs(float(bundle.d_s @ bundle.d_g)) < 1e-6
         assert abs(np.linalg.norm(bundle.d_s) - 1.0) < 1e-9
+
+
+class TestSemanticDirectionProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_pairs=st.integers(3, 12),
+           dim=st.integers(3, 10))
+    def test_rotation_equivariance(self, seed, n_pairs, dim):
+        # differences spread along one planted axis far above the noise,
+        # so the top component is isolated by a wide spectral gap
+        rng = np.random.default_rng(seed)
+        axis = rng.standard_normal(dim)
+        axis /= np.linalg.norm(axis)
+        vecs = []
+        for c in rng.permutation(np.linspace(-1.0, 3.0, n_pairs)):
+            base = rng.standard_normal(dim)
+            diff = c * axis + 0.05 * rng.standard_normal(dim)
+            vecs.append((base, base + diff))
+        space, pairs = space_from(vecs)
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        q = q * np.sign(np.diag(r))
+        d, explained = semantic_direction(space, pairs)
+        d_rot, explained_rot = semantic_direction(
+            space.with_matrix(space.matrix @ q.T), pairs)
+        assert abs(float(d_rot @ (q @ d))) >= 1.0 - 1e-9
+        assert explained_rot == pytest.approx(explained, abs=1e-9)
+        assert 0.0 < explained <= 1.0

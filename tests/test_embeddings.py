@@ -1,8 +1,14 @@
 import logging
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import small_space
@@ -200,12 +206,44 @@ class TestTextFormat:
         assert np.allclose(space.vector("a"), [1.0, 0.0])
         assert any("duplicate" in r.message.lower() for r in caplog.records)
 
-    def test_truncated_body_tolerated(self, tmp_path):
-        # declared count larger than actual rows: loader keeps what is there
+    def test_truncated_body_rejected(self, tmp_path):
+        # declared count larger than actual rows: a truncated download
         path = tmp_path / "short.vec"
         path.write_text("5 2\na 1 0\nb 0 1\n")
+        with pytest.raises(ValueError, match=r"short\.vec.*5.*2"):
+            load_text_embeddings(path)
+        # a word limit the short body satisfies is not an error
+        assert len(load_text_embeddings(path, max_words=2)) == 2
+
+    def test_fasttext_trailing_space(self, tmp_path):
+        # fastText writes a space after the last component of every row
+        path = tmp_path / "ft.vec"
+        path.write_text("2 3\nfoo 0.1 0.2 0.3 \nbar 1 2 3 \n")
         space = load_text_embeddings(path)
-        assert len(space) == 2
+        assert space.words == ("foo", "bar")
+        assert np.allclose(space.vector("foo"), [0.1, 0.2, 0.3])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), trailing=st.booleans())
+    def test_round_trip_property(self, data, trailing):
+        n = data.draw(st.integers(1, 8))
+        dim = data.draw(st.integers(1, 6))
+        words = data.draw(st.lists(
+            st.text(string.ascii_letters + "áñü_", min_size=1, max_size=6),
+            min_size=n, max_size=n, unique=True))
+        matrix = data.draw(arrays(np.float64, (n, dim), elements=st.floats(
+            -1e3, 1e3, allow_nan=False, allow_infinity=False)))
+        space = EmbeddingSpace(words, matrix)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.vec"
+            save_text_embeddings(space, path)
+            if trailing:
+                lines = path.read_text(encoding="utf-8").splitlines()
+                body = "".join(line + " \n" for line in lines[1:])
+                path.write_text(lines[0] + "\n" + body, encoding="utf-8")
+            back = load_text_embeddings(path)
+        assert back.words == space.words
+        assert np.all(np.abs(back.matrix - space.matrix) <= 1e-6)
 
     def test_non_numeric_component(self, tmp_path):
         path = tmp_path / "bad.vec"
