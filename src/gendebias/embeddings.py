@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -13,6 +15,12 @@ logger = logging.getLogger(__name__)
 
 # Tolerance for the unit-norm check on spaces declared normalized.
 NORM_TOL = 1e-6
+
+# numpy's message for a field np.loadtxt cannot convert; ``row`` counts the
+# lines fed to it from 0.
+_LOADTXT_ERROR = re.compile(
+    r"could not convert string (?P<token>.*) to float64 at row (?P<row>\d+), "
+    r"column \d+\.", re.S)
 
 
 @dataclass(frozen=True)
@@ -168,19 +176,46 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
     ``word c1 ... c_dim`` line per vector, single-space separated; trailing
     spaces (fastText writes one) are ignored.
 
-    Duplicate words keep the first occurrence; the number skipped is logged.
-    Raises ValueError on a malformed header, wrong component count,
-    non-finite components, an empty vocabulary, or a body that ends before
-    the header's count (a truncated file) while more words were wanted.
+    The body is streamed line by line into one ``np.loadtxt`` parse, so every
+    component is bit-identical to Python's ``float(token)`` except that
+    underscore digit separators (``1_0``) and non-ASCII digits are rejected;
+    fastText never writes either.  Duplicate words keep the first
+    occurrence; the number skipped is logged.  Raises ValueError on a
+    malformed header, wrong component count, an empty word, unparsable or
+    non-finite components (naming the path and line), or a body that ends
+    before the header's count (a truncated file) while more words were
+    wanted.
     """
     if max_words is not None and max_words < 1:
         raise ValueError(f"max_words must be positive, got {max_words}")
     path = Path(path)
     words: list[str] = []
+    linenos: list[int] = []
     seen: set[str] = set()
-    rows: list[np.ndarray] = []
     duplicates = 0
     rows_read = 0
+
+    def components(fh, dim: int, limit: int):
+        # Per-line string bookkeeping only; numpy parses what this yields.
+        nonlocal duplicates, rows_read
+        for lineno, line in enumerate(fh, start=2):
+            if len(words) >= limit:
+                return
+            rows_read += 1
+            word, sep, rest = line.rstrip("\n").rstrip(" ").partition(" ")
+            got = rest.count(" ") + 1 if sep else 0
+            if got != dim:
+                raise ValueError(f"{path}:{lineno}: expected {dim} components, got {got}")
+            if not word:
+                raise ValueError(f"{path}:{lineno}: empty word")
+            if word in seen:
+                duplicates += 1
+                continue
+            seen.add(word)
+            words.append(word)
+            linenos.append(lineno)
+            yield rest
+
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -193,47 +228,46 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
         if count < 1 or dim < 1:
             raise ValueError(f"{path}: empty vocabulary or dimension in header")
         limit = count if max_words is None else min(count, max_words)
-        for lineno, line in enumerate(fh, start=2):
-            if len(words) >= limit:
-                break
-            rows_read += 1
-            fields = line.rstrip("\n").rstrip(" ").split(" ")
-            if len(fields) != dim + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(fields) - 1}")
-            word = fields[0]
-            if not word:
-                raise ValueError(f"{path}:{lineno}: empty word")
-            if word in seen:
-                duplicates += 1
-                continue
+        rows = components(fh, dim, limit)
+        # Peek one row so an empty body never reaches loadtxt, which would
+        # warn about it; the truncation check below reports it instead.
+        first = next(rows, None)
+        matrix = np.empty((0, dim))
+        if first is not None:
             try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparsable component") from None
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}:{lineno}: non-finite component for {word!r}")
-            seen.add(word)
-            words.append(word)
-            rows.append(vec)
+                matrix = np.loadtxt(itertools.chain((first,), rows), dtype=np.float64,
+                                    delimiter=" ", comments=None, ndmin=2)
+            except ValueError as exc:
+                bad = _LOADTXT_ERROR.fullmatch(str(exc))
+                if bad is None:
+                    raise
+                row = int(bad["row"])
+                raise ValueError(f"{path}:{linenos[row]}: unparsable component "
+                                 f"{bad['token']} for {words[row]!r}") from None
     if len(words) < limit and rows_read < count:
         raise ValueError(f"{path}: truncated file: header declares {count} "
                          f"words, body has {rows_read}")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{path}:{linenos[row]}: non-finite component for {words[row]!r}")
     if duplicates:
         logger.warning("%s: skipped %d duplicate words (kept first occurrence)",
                        path, duplicates)
-    return EmbeddingSpace(words, np.vstack(rows))
+    return EmbeddingSpace(words, matrix)
 
 
 def save_text_embeddings(space: EmbeddingSpace, path) -> None:
-    """Write the text format back out with 10 significant digits, which keeps
-    the load/save round trip within 1e-6 per component."""
+    """Write the text format back out with 10 significant digits (``%.10g``),
+    which keeps the load/save round trip within 1e-6 per component.  The
+    bytes are those of a per-component ``f"{x:.10g}"``; each row is
+    formatted by one ``%`` operation."""
     path = Path(path)
+    fmt = " ".join(["%.10g"] * space.dim)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
-        for word, row in zip(space.words, space.matrix):
-            comps = " ".join(f"{x:.10g}" for x in row)
-            fh.write(f"{word} {comps}\n")
+        fh.writelines(f"{word} {fmt % tuple(row.tolist())}\n"
+                      for word, row in zip(space.words, space.matrix))
 
 
 def unit_normalize(space: EmbeddingSpace) -> EmbeddingSpace:

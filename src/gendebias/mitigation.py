@@ -212,10 +212,18 @@ def hard_debias_english(space: EmbeddingSpace,
     for m, f in equalize_pairs:
         equalize_members.update((m, f))
     matrix = np.array(space.matrix, copy=True)
-    for i, word in enumerate(space.words):
-        if word in protected or word in equalize_members:
-            continue
-        matrix[i] = neutralize(matrix[i], d_en)
+    # neutralize() applied to every unprotected row at once.
+    free = np.array([w not in protected and w not in equalize_members
+                     for w in space.words], dtype=bool)
+    rows = matrix[free]
+    residual = rows - np.outer(rows @ d_en, d_en)
+    norms = np.linalg.norm(residual, axis=1)
+    parallel = norms <= _PARALLEL_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1))
+    if parallel.any():
+        word = space.words[int(np.flatnonzero(free)[np.argmax(parallel)])]
+        raise ValueError(f"vector for {word!r} is parallel to the direction; "
+                         f"neutralized residual is zero")
+    matrix[free] = residual / norms[:, None]
     for m, f in equalize_pairs:
         im = space.index(m)
         iff = space.index(f)

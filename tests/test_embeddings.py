@@ -2,6 +2,7 @@ import logging
 import math
 import string
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,24 @@ from gendebias import (
     top_k,
     unit_normalize,
 )
+
+
+# Every finite float64, with the edges hypothesis might not reach by itself.
+_ANY_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-308, 1e308, -1e308, 1.7976931348623157e308]))
+
+# Component tokens as writers spell them: shortest repr, %.10g, exponent
+# forms and free-form decimals, kept where float() stays finite (%.10g of
+# the largest float64 rounds up past it).
+_FINITE_TOKEN = st.one_of(
+    _ANY_FINITE.map(repr),
+    _ANY_FINITE.map(lambda x: f"{x:.10g}"),
+    _ANY_FINITE.map(lambda x: f"{x:.5E}"),
+    st.from_regex(r"[+-]?[0-9]{1,25}(\.[0-9]{0,25})?([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+).filter(lambda t: math.isfinite(float(t)))
 
 
 def _dict_of(space):
@@ -248,8 +267,81 @@ class TestTextFormat:
     def test_non_numeric_component(self, tmp_path):
         path = tmp_path / "bad.vec"
         path.write_text("1 2\na 1 xyz\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.vec:2: unparsable .*xyz.*'a'"):
             load_text_embeddings(path)
+
+    def test_header_only_is_truncated_without_warning(self, tmp_path):
+        path = tmp_path / "head.vec"
+        path.write_text("3 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"head\.vec: truncated.*3.*0"):
+                load_text_embeddings(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component_names_line(self, tmp_path, token):
+        path = tmp_path / "bad.vec"
+        path.write_text(f"3 2\na 1 0\nb 0.5 {token}\nc 0 1\n")
+        with pytest.raises(ValueError, match=r"bad\.vec:3: non-finite .*'b'"):
+            load_text_embeddings(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("a 1 0\na 9 9\nb 0 x\n", r"bad\.vec:4: unparsable .*'b'"),
+        ("a 1 0\na 9 9\nb 0 nan\n", r"bad\.vec:4: non-finite .*'b'"),
+        ("a 1 0\na 9 9\nb 0\n", r"bad\.vec:4: expected 2 components, got 1"),
+    ])
+    def test_bad_line_after_duplicate_reports_its_own_line(self, tmp_path, body,
+                                                           message):
+        path = tmp_path / "bad.vec"
+        path.write_text("3 2\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_text_embeddings(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 3\na 1  2\n", r"bad\.vec:2: unparsable"),      # empty field
+        ("1 1\na\n", r"bad\.vec:2: expected 1 components, got 0"),
+        ("1 1\n 1\n", r"bad\.vec:2: empty word"),
+    ])
+    def test_malformed_body_lines(self, tmp_path, text, message):
+        path = tmp_path / "bad.vec"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_text_embeddings(path)
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        # Python's float() reads "1_0" as 10.0; the bulk parser does not,
+        # and fastText never writes digit separators.
+        assert float("1_0") == 10.0
+        path = tmp_path / "bad.vec"
+        path.write_text("1 2\na 1_0 2\n")
+        with pytest.raises(ValueError, match=r"bad\.vec:2: unparsable .*1_0"):
+            load_text_embeddings(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 6)),
+                         elements=_ANY_FINITE))
+    def test_writer_bytes_match_per_component_format(self, matrix):
+        words = [f"w{i}" for i in range(matrix.shape[0])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.vec"
+            save_text_embeddings(EmbeddingSpace(words, matrix), path)
+            got = path.read_bytes()
+        want = f"{matrix.shape[0]} {matrix.shape[1]}\n" + "".join(
+            f"{w} " + " ".join(f"{x:.10g}" for x in row.tolist()) + "\n"
+            for w, row in zip(words, matrix))
+        assert got == want.encode("utf-8")
+
+    @settings(max_examples=60, deadline=None)
+    @given(tokens=st.lists(st.lists(_FINITE_TOKEN, min_size=3, max_size=3),
+                           min_size=1, max_size=5))
+    def test_loaded_components_are_bit_identical_to_float(self, tokens):
+        body = "".join(f"w{i} " + " ".join(row) + "\n" for i, row in enumerate(tokens))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.vec"
+            path.write_text(f"{len(tokens)} 3\n" + body, encoding="utf-8")
+            got = load_text_embeddings(path).matrix
+        want = np.array([[float(t) for t in row] for row in tokens], dtype=np.float64)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_values_survive_at_output_precision(self, tmp_path):
         space = unit_normalize(

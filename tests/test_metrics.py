@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import small_space
@@ -241,6 +244,25 @@ class TestPermutationTest:
         space, query = mirror_space(4)
         with pytest.raises(ValueError, match="protocol"):
             permutation_test(query, space, protocol="bootstrap")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), protocol=st.sampled_from(["pair_swap", "partition"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_p_in_unit_interval_property(self, data, protocol, seed):
+        # up to 16 pairs enumerate exhaustively, more are sampled
+        n_pairs = data.draw(st.integers(1, 20))
+        n_attrs = data.draw(st.integers(1, 3))
+        dim = data.draw(st.integers(2, 5))
+        n = 2 * n_pairs + 2 * n_attrs
+        matrix = data.draw(arrays(np.float64, (n, dim), elements=st.floats(-1.0, 1.0)))
+        assume(np.all(np.linalg.norm(matrix, axis=1) > 1e-3))
+        words = [f"w{i:02d}" for i in range(n)]
+        space = EmbeddingSpace(words, matrix)
+        query = BiasQuery(words[:n_pairs], words[n_pairs:2 * n_pairs],
+                          words[2 * n_pairs:2 * n_pairs + n_attrs],
+                          words[2 * n_pairs + n_attrs:])
+        p = permutation_test(query, space, n_perm=100, seed=seed, protocol=protocol)
+        assert 0.0 < p <= 1.0
 
     def test_p_never_zero(self):
         space, query = leaning_space(10, seed=9, asymmetry=0.3)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import small_space
@@ -81,6 +84,19 @@ class TestPrimitives:
         perp = lambda v: v - float(v @ d) * d
         assert np.max(np.abs(perp(nm) - perp(vm))) < 1e-12
         assert np.max(np.abs(perp(nf) - perp(vf))) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(vecs=arrays(np.float64, (3, 7), elements=st.floats(-10.0, 10.0)),
+           anchor=st.floats(-2.0, 2.0))
+    def test_shift_pair_projections_opposite_about_anchor(self, vecs, anchor):
+        vm, vf, d = vecs
+        norm = np.linalg.norm(d)
+        assume(norm > 1e-3)
+        d = d / norm
+        nm, nf = shift_pair(vm, vf, d, anchor_proj=anchor)
+        # roundoff of a few dot products over values of this scale
+        scale = 1.0 + np.abs(vm).sum() + np.abs(vf).sum() + abs(anchor)
+        assert abs((float(nm @ d) - anchor) + (float(nf @ d) - anchor)) <= 1e-13 * scale
 
     def test_shift_does_not_renormalize(self, rng):
         d = np.zeros(5)
@@ -319,6 +335,31 @@ class TestHardDebias:
         assert only_protected
         for w in only_protected:
             assert np.array_equal(out.vector(w), normalized.vector(w)), w
+
+    def test_matches_per_row_neutralize_oracle(self, debiased_english,
+                                               fixture_aligned):
+        out, cfg, d_en = debiased_english
+        normalized = unit_normalize(fixture_aligned.english)
+        exempt = set(cfg.gender_specific).union(*cfg.equalize_pairs)
+        free = [w for w in out.words if w not in exempt]
+        assert free
+        for w in free:
+            want = neutralize(normalized.vector(w), d_en)
+            assert np.max(np.abs(out.vector(w) - want)) <= 1e-12, w
+
+    def test_parallel_word_rejected_by_name(self):
+        rng = np.random.default_rng(2)
+        axis = np.zeros(6)
+        axis[0] = 1.0
+        base1, base2 = rng.standard_normal((2, 6))
+        base1[0] = base2[0] = 0.0
+        rows = {"dm1": base1 - 0.4 * axis, "df1": base1 + 0.4 * axis,
+                "dm2": base2 - 0.5 * axis, "df2": base2 + 0.5 * axis,
+                "other": rng.standard_normal(6), "zz_axis": axis, "aa_axis": -axis}
+        space = EmbeddingSpace(list(rows), np.vstack(list(rows.values())))
+        with pytest.raises(ValueError, match="'zz_axis' is parallel"):
+            hard_debias_english(space, [("dm1", "df1"), ("dm2", "df2")],
+                                [("dm1", "df1")], ["dm1", "df1", "dm2", "df2"])
 
     def test_identical_projection_pair_rejected(self):
         rng = np.random.default_rng(1)
