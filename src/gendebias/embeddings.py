@@ -142,9 +142,7 @@ class EmbeddingSpace:
         # used as the deterministic tie-break key in retrieval.
         if self._lex_rank is None:
             order = sorted(range(len(self._words)), key=lambda i: self._words[i])
-            rank = np.empty(len(self._words), dtype=np.intp)
-            for pos, i in enumerate(order):
-                rank[i] = pos
+            rank = np.argsort(order)  # the inverse permutation of order
             rank.setflags(write=False)
             self._lex_rank = rank
         return self._lex_rank
@@ -261,7 +259,15 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     """Write the text format back out with 10 significant digits (``%.10g``),
     which keeps the load/save round trip within 1e-6 per component.  The
     bytes are those of a per-component ``f"{x:.10g}"``; each row is
-    formatted by one ``%`` operation."""
+    formatted by one ``%`` operation.  Raises ValueError naming the word,
+    before writing anything, if ``%.10g`` would round a component past the
+    float64 maximum (the loader reads that token as inf)."""
+    # the smallest magnitude %.10g spells 1.797693135e+308; its predecessor
+    # is still written as 1.797693134e+308
+    over = np.abs(space.matrix).max(axis=1) >= 1.7976931345e308
+    if over.any():
+        raise ValueError(f"cannot write {space.words[int(np.argmax(over))]!r}: %.10g "
+                         "rounds one of its components past the float64 maximum")
     path = Path(path)
     fmt = " ".join(["%.10g"] * space.dim)
     with path.open("w", encoding="utf-8") as fh:
@@ -292,16 +298,32 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def _cosine_scores(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
-    """Cosine of the query against every row; zero-norm rows score -inf."""
-    qn = np.linalg.norm(query)
-    if qn == 0.0:
+def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray) -> np.ndarray:
+    """Cosine of each query row against every row of ``space``, from the raw
+    matrix and the cached row norms.  Zero rows of ``space`` score -inf, so
+    they come after every other row; a zero query raises ValueError."""
+    qn = np.linalg.norm(queries, axis=1)
+    if np.any(qn == 0.0):
         raise ValueError("cosine undefined for zero query vector")
-    norms = space.row_norms()
-    scores = space.matrix @ (query / qn)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(norms > 0.0, scores / norms, -np.inf)
+    live = space.row_norms() > 0.0
+    scores = (queries / qn[:, None]) @ space.matrix.T
+    np.divide(scores, space.row_norms(), out=scores, where=live)
+    scores[:, ~live] = -np.inf
     return scores
+
+
+def _top_rows(scores: np.ndarray, lex_rank: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the ``k`` best scores of each row, best first, equal
+    scores in ascending ``lex_rank`` order, as a full per-row lexsort on
+    (lex_rank, -score) cut at k.  Only the columns scoring at least their
+    row's k-th best value (every tie with it included) are sorted."""
+    n, m = scores.shape
+    k = min(k, m)
+    kth = np.partition(scores, m - k, axis=1)[:, m - k]
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((lex_rank[cols], -scores[rows, cols], rows))
+    first = np.searchsorted(rows, np.arange(n))
+    return cols[order][first[:, None] + np.arange(k)]
 
 
 def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
@@ -309,15 +331,15 @@ def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
     """Exact brute-force k nearest neighbors by cosine.
 
     Ties are broken by ascending lexicographic word order, so results are
-    deterministic.  Fewer than ``k`` neighbors come back only when the
-    candidate set is smaller than ``k``.
+    deterministic, and zero vectors come last.  Fewer than ``k`` neighbors
+    come back only when the candidate set is smaller than ``k``.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (space.dim,):
         raise ValueError(f"query shape {query.shape} does not match dim {space.dim}")
-    scores = _cosine_scores(space, query)
+    scores = _cosine_scores(space, query[None, :])[0]
     mask = np.ones(len(space), dtype=bool)
     for w in exclude:
         if w in space:
@@ -325,8 +347,8 @@ def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
     candidates = np.nonzero(mask)[0]
     if candidates.size == 0:
         raise ValueError("empty candidate set after exclusion")
-    order = np.lexsort((space.lex_rank()[candidates], -scores[candidates]))
-    top = candidates[order[:k]]
+    top = candidates[_top_rows(scores[None, candidates],
+                               space.lex_rank()[candidates], k)[0]]
     return [Neighbor(word=space.words[i], score=float(np.clip(scores[i], -1.0, 1.0)),
                      rank=r + 1)
             for r, i in enumerate(top)]

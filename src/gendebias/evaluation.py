@@ -13,13 +13,17 @@ import numpy as np
 from scipy import stats
 
 from .directions import GenderDirections
-from .embeddings import BilingualSpace, EmbeddingSpace
+from .embeddings import (BilingualSpace, EmbeddingSpace, _cosine_scores,
+                         _top_rows, cosine)
 from .lexicon import AnalogyQuery, BilingualDictionary, OccupationPair
 
 logger = logging.getLogger(__name__)
 
 MIN_SIMILARITY_ROWS = 5
 CSLS_NEIGHBORHOOD = 10
+# Query rows scored per matrix product: bounds retrieval memory to this many
+# rows times the searched vocabulary.
+_SCORE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -54,19 +58,16 @@ def word_similarity_eval(space: EmbeddingSpace,
                          dataset: Sequence[tuple[str, str, float]],
                          ) -> EvalReport:
     """Pearson correlation between model cosines and human scores over the
-    covered rows of a similarity dataset."""
+    covered rows of a similarity dataset (a zero vector leaves its row out)."""
     if not dataset:
         raise ValueError("empty similarity dataset")
     model, human = [], []
     for w1, w2, score in dataset:
         if w1 in space and w2 in space:
-            v1 = space.vector(w1)
-            v2 = space.vector(w2)
-            n1 = np.linalg.norm(v1)
-            n2 = np.linalg.norm(v2)
-            if n1 == 0.0 or n2 == 0.0:
+            try:
+                model.append(cosine(space.vector(w1), space.vector(w2)))
+            except ValueError:  # a zero vector
                 continue
-            model.append(float(v1 @ v2 / (n1 * n2)))
             human.append(score)
     if len(model) < MIN_SIMILARITY_ROWS:
         raise ValueError(f"only {len(model)} of {len(dataset)} rows covered; "
@@ -77,32 +78,25 @@ def word_similarity_eval(space: EmbeddingSpace,
                       coverage=len(model) / len(dataset))
 
 
-def _topk_rows(scores: np.ndarray, lex_rank: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best columns per row, ties broken by lex_rank."""
-    out = np.empty((scores.shape[0], min(k, scores.shape[1])), dtype=np.intp)
-    for i, row in enumerate(scores):
-        order = np.lexsort((lex_rank, -row))
-        out[i] = order[:out.shape[1]]
-    return out
-
-
 def _mean_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise mean of the k largest entries."""
+    """Row-wise mean of the k largest finite entries (-inf, a zero vector's
+    score, is no neighbor); 0 for a row without any."""
     k = min(k, scores.shape[1])
-    part = np.partition(scores, scores.shape[1] - k, axis=1)
-    return part[:, -k:].mean(axis=1)
+    top = np.partition(scores, scores.shape[1] - k, axis=1)[:, -k:]
+    finite = np.isfinite(top)
+    return np.where(finite, top, 0.0).sum(axis=1) / np.maximum(finite.sum(axis=1), 1)
 
 
 def _csls_adjustment(bi: BilingualSpace) -> np.ndarray:
     """Per-target mean cosine to its CSLS_NEIGHBORHOOD nearest mapped-source
-    vectors, computed in chunks against the full source vocabulary."""
-    src = bi.source.matrix / bi.source.row_norms()[:, None]
-    tgt = bi.target.matrix / bi.target.row_norms()[:, None]
-    r_tgt = np.empty(len(bi.target))
-    chunk = 1024
-    for start in range(0, len(bi.target), chunk):
-        block = tgt[start:start + chunk] @ src.T
-        r_tgt[start:start + chunk] = _mean_topk(block, CSLS_NEIGHBORHOOD)
+    vectors, computed in chunks against the full source vocabulary; 0 for a
+    zero target vector."""
+    r_tgt = np.zeros(len(bi.target))
+    live = np.flatnonzero(bi.target.row_norms() > 0.0)
+    for start in range(0, live.size, _SCORE_CHUNK):
+        rows = live[start:start + _SCORE_CHUNK]
+        r_tgt[rows] = _mean_topk(_cosine_scores(bi.source, bi.target.matrix[rows]),
+                                 CSLS_NEIGHBORHOOD)
     return r_tgt
 
 
@@ -121,9 +115,11 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
 
     A query counts as a hit at k when ANY of its gold translations appears
     in the top k.  Queries whose source word is out of vocabulary are
-    skipped and reported through coverage.  With csls=True scores are
-    adjusted by the mean similarity of each target to its 10 nearest
-    mapped-source neighbors (and of each query to its 10 nearest targets).
+    skipped and reported through coverage; a zero query vector is an error,
+    and zero target vectors are retrieved after every other target.  With
+    csls=True scores are adjusted by the mean similarity of each target to
+    its 10 nearest mapped-source neighbors (and of each query to its 10
+    nearest targets).
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -132,34 +128,27 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
     entries = [(w, set(golds)) for w, golds in dictionary.items() if w in bi.source]
     if not entries:
         raise ValueError("no dictionary entry has its source word in the space")
-    src_rows = bi.source.matrix[bi.source.indices([w for w, _ in entries])]
-    norms = np.linalg.norm(src_rows, axis=1)
-    if np.any(norms == 0.0):
+    queries = bi.source.indices([w for w, _ in entries])
+    if np.any(bi.source.row_norms()[queries] == 0.0):
         raise ValueError("zero vector among query words")
-    src_rows = src_rows / norms[:, None]
-    tgt = bi.target.matrix / bi.target.row_norms()[:, None]
-    scores = src_rows @ tgt.T
-    if csls:
-        r_src = _mean_topk(scores, CSLS_NEIGHBORHOOD)
-        r_tgt = _csls_adjustment(bi)
-        scores = 2.0 * scores - r_src[:, None] - r_tgt[None, :]
-    top = _topk_rows(scores, bi.target.lex_rank(), kmax)
-    hits = {k: 0 for k in ks}
+    r_tgt = _csls_adjustment(bi) if csls else None
+    top = []
+    for start in range(0, len(entries), _SCORE_CHUNK):
+        rows = bi.source.matrix[queries[start:start + _SCORE_CHUNK]]
+        scores = _cosine_scores(bi.target, rows)
+        if csls:
+            scores = (2.0 * scores - _mean_topk(scores, CSLS_NEIGHBORHOOD)[:, None]
+                      - r_tgt)
+        top.extend(_top_rows(scores, bi.target.lex_rank(), kmax))
     details = []
-    tgt_words = bi.target.words
-    for row, (word, golds) in enumerate(entries):
-        retrieved = tuple(tgt_words[j] for j in top[row])
-        hit_rank = 0
-        for pos, cand in enumerate(retrieved, start=1):
-            if cand in golds:
-                hit_rank = pos
-                break
-        for k in ks:
-            if 0 < hit_rank <= k:
-                hits[k] += 1
+    for (word, golds), row in zip(entries, top):
+        retrieved = tuple(bi.target.words[j] for j in row)
+        hit_rank = next((pos for pos, cand in enumerate(retrieved, start=1)
+                         if cand in golds), 0)
         details.append(TranslationDetail(source=word, gold=tuple(sorted(golds)),
                                          retrieved=retrieved, hit_rank=hit_rank))
-    metrics = {f"p_at_{k}": 100.0 * hits[k] / len(entries) for k in ks}
+    metrics = {f"p_at_{k}": 100.0 * sum(0 < d.hit_rank <= k for d in details)
+               / len(entries) for k in ks}
     metrics["n_queries"] = float(len(entries))
     return EvalReport(task="word_translation", metrics=metrics,
                       coverage=len(entries) / len(dictionary),
@@ -187,22 +176,19 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
     Reports mean reciprocal rank per gold gender and their absolute gap.
     With occupation_pairs given, adds the anchor symmetry deviation: the
     mean over English-annotated pairs of |cos(w_m, e) - cos(w_f, e)|.
+    A zero gold vector ranks after every nonzero candidate.
     restrict_to narrows the candidate pool for fast smoke tests.
     """
     if not queries:
         raise ValueError("no analogy queries given")
     src = bi.source
-    src_unit = src.matrix / src.row_norms()[:, None]
     lex_rank = src.lex_rank()
-    base_mask = np.zeros(len(src), dtype=bool)
-    if restrict_to is None:
-        base_mask[:] = True
-    else:
-        for w in restrict_to:
-            if w in src:
-                base_mask[src.index(w)] = True
-        if not base_mask.any():
-            raise ValueError("restrict_to leaves no candidates")
+    base_mask = np.full(len(src), restrict_to is None)
+    for w in restrict_to or ():
+        if w in src:
+            base_mask[src.index(w)] = True
+    if not base_mask.any():
+        raise ValueError("restrict_to leaves no candidates")
     rr: dict[str, list[float]] = {"masculine": [], "feminine": []}
     skipped = 0
     for q in queries:
@@ -213,21 +199,18 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
         target_vec = (bi.target.vector(q.english_target)
                       - bi.target.vector(q.english_context)
                       + src.vector(q.source_context))
-        norm = np.linalg.norm(target_vec)
-        if norm == 0.0:
+        try:
+            scores = _cosine_scores(src, target_vec[None, :])[0]
+        except ValueError:  # zero analogy vector
             skipped += 1
             continue
-        scores = src_unit @ (target_vec / norm)
         mask = base_mask.copy()
-        for w in (q.source_context,):
-            mask[src.index(w)] = False
-        for w in (q.english_context, q.english_target):
+        for w in (q.source_context, q.english_context, q.english_target):
             if w in src:
                 mask[src.index(w)] = False
         gold_idx = src.index(q.gold)
         mask[gold_idx] = True  # the gold is always a candidate
-        rank = _rank_of(scores, gold_idx, mask, lex_rank)
-        rr[q.gold_gender].append(1.0 / rank)
+        rr[q.gold_gender].append(1.0 / _rank_of(scores, gold_idx, mask, lex_rank))
     n_resolved = len(rr["masculine"]) + len(rr["feminine"])
     if n_resolved == 0:
         raise ValueError("no analogy query could be resolved against the spaces")
@@ -244,21 +227,15 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
     if occupation_pairs is not None:
         deviations = []
         for pair in occupation_pairs:
-            if pair.english is None:
-                continue
-            if (pair.english not in bi.target or pair.masculine not in src
-                    or pair.feminine not in src):
+            if (pair.english is None or pair.english not in bi.target
+                    or pair.masculine not in src or pair.feminine not in src):
                 continue
             e = bi.target.vector(pair.english)
-            ne = np.linalg.norm(e)
-            vm = src.vector(pair.masculine)
-            vf = src.vector(pair.feminine)
-            nm = np.linalg.norm(vm)
-            nf = np.linalg.norm(vf)
-            if ne == 0.0 or nm == 0.0 or nf == 0.0:
+            try:
+                deviations.append(abs(cosine(src.vector(pair.masculine), e)
+                                      - cosine(src.vector(pair.feminine), e)))
+            except ValueError:  # a zero vector
                 continue
-            deviations.append(abs(float(vm @ e / (nm * ne))
-                                  - float(vf @ e / (nf * ne))))
         if not deviations:
             raise ValueError("anchor symmetry deviation requested but no "
                              "English-annotated occupation pair is covered")

@@ -21,13 +21,15 @@ from gendebias import (
     top_k,
     unit_normalize,
 )
+from gendebias.embeddings import _top_rows
 
 
 # Every finite float64, with the edges hypothesis might not reach by itself.
 _ANY_FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1e-308, 1e308, -1e308, 1.7976931348623157e308]))
+                     1e-308, 1e308, -1e308, 1.7976931348623157e308,
+                     1.7976931345e308, -1.7976931344999998e308]))
 
 # Component tokens as writers spell them: shortest repr, %.10g, exponent
 # forms and free-form decimals, kept where float() stays finite (%.10g of
@@ -181,6 +183,21 @@ class TestTopK:
         got = top_k(np.asarray([1.0, 0.0]), space, k=3)
         assert got[-1].word == "null"
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_top_rows_matches_per_row_lexsort(self, data):
+        n_rows = data.draw(st.integers(1, 4))
+        width = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, width + 3))
+        # quantized scores force ties; -inf is what a zero row scores
+        scores = data.draw(arrays(
+            np.float64, (n_rows, width),
+            elements=st.one_of(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0]),
+                               st.floats(-1.0, 1.0))))
+        lex_rank = np.array(data.draw(st.permutations(range(width))), dtype=np.intp)
+        want = np.array([np.lexsort((lex_rank, -row))[:k] for row in scores])
+        assert np.array_equal(_top_rows(scores, lex_rank, k), want)
+
 
 class TestTextFormat:
     def test_round_trip(self, tmp_path):
@@ -321,9 +338,18 @@ class TestTextFormat:
     @given(matrix=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 6)),
                          elements=_ANY_FINITE))
     def test_writer_bytes_match_per_component_format(self, matrix):
+        # %.10g rounds magnitudes near the float64 maximum up to a token that
+        # reads back as inf: the writer refuses those, naming the first word.
         words = [f"w{i}" for i in range(matrix.shape[0])]
+        overflow = [w for w, row in zip(words, matrix.tolist())
+                    if any(math.isinf(float(f"{x:.10g}")) for x in row)]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "space.vec"
+            if overflow:
+                with pytest.raises(ValueError, match=f"'{overflow[0]}'.*past the float64"):
+                    save_text_embeddings(EmbeddingSpace(words, matrix), path)
+                assert not path.exists()
+                return
             save_text_embeddings(EmbeddingSpace(words, matrix), path)
             got = path.read_bytes()
         want = f"{matrix.shape[0]} {matrix.shape[1]}\n" + "".join(

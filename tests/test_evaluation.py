@@ -22,6 +22,7 @@ from gendebias import (
     write_projections_csv,
     write_translation_csv,
 )
+from gendebias import evaluation
 from gendebias.evaluation import TranslationDetail, _rank_of
 
 
@@ -32,6 +33,13 @@ def copied_pair(n_words=40, dim=20, seed=0):
                          language_tag="en", normalized=True)
     pairs = [(f"s{i:03d}", f"t{i:03d}") for i in range(n_words)]
     return BilingualSpace(src, tgt), BilingualDictionary(pairs)
+
+
+def with_zero_word(space, word):
+    """``space`` plus one all-zero vector under ``word``."""
+    return EmbeddingSpace(space.words + (word,),
+                          np.vstack([space.matrix, np.zeros(space.dim)]),
+                          language_tag=space.language_tag)
 
 
 class TestEvalReport:
@@ -181,6 +189,39 @@ class TestWordTranslation:
         with pytest.raises(ValueError, match="no dictionary entry"):
             word_translation_eval(bi, BilingualDictionary([("x", "t000")]))
 
+    def test_zero_query_word_is_an_error(self):
+        bi, dictionary = copied_pair(n_words=10, seed=13)
+        bi = BilingualSpace(with_zero_word(bi.source, "s_null"), bi.target)
+        dictionary.add("s_null", "t000")
+        with pytest.raises(ValueError, match="zero vector among query words"):
+            word_translation_eval(bi, dictionary)
+
+    @pytest.mark.parametrize("csls", [False, True])
+    @pytest.mark.parametrize("n_words", [40, 6])
+    def test_zero_rows_change_nothing(self, csls, n_words):
+        # a zero target word is never retrieved before a nonzero one, and
+        # neither zero word enters a CSLS neighborhood, also when a space
+        # has fewer nonzero words than CSLS_NEIGHBORHOOD
+        bi, dictionary = copied_pair(n_words=n_words, seed=17)
+        want = word_translation_eval(bi, dictionary, ks=(1, 5), csls=csls)
+        padded = BilingualSpace(with_zero_word(bi.source, "s_null"),
+                                with_zero_word(bi.target, "a_null"))
+        got = word_translation_eval(padded, dictionary, ks=(1, 5), csls=csls)
+        assert got.metrics == want.metrics
+        assert got.details == want.details
+        full = word_translation_eval(padded, dictionary, ks=(len(padded.target),),
+                                     csls=csls)
+        assert all(d.retrieved[-1] == "a_null" for d in full.details)
+
+    @pytest.mark.parametrize("csls", [False, True])
+    def test_chunked_scoring_matches_one_block(self, monkeypatch, csls):
+        bi, dictionary = copied_pair(seed=18)
+        want = word_translation_eval(bi, dictionary, ks=(1, 5), csls=csls)
+        monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 3)
+        got = word_translation_eval(bi, dictionary, ks=(1, 5), csls=csls)
+        assert got.metrics == want.metrics
+        assert got.details == want.details
+
 
 def analogy_case(dim=8, n_distractors=20, seed=14):
     """Bilingual space where one gold word sits exactly at the analogy
@@ -217,6 +258,15 @@ class TestPairTranslation:
         assert rep.coverage == 1.0
         assert "m_mrr" not in rep.metrics
         assert "mrr_diff" not in rep.metrics
+
+    def test_zero_gold_ranks_after_every_nonzero_candidate(self):
+        bi, query = analogy_case(seed=22)
+        zero_gold = np.where(np.asarray(bi.source.words)[:, None] == "gold_f",
+                             0.0, bi.source.matrix)
+        src = with_zero_word(bi.source.with_matrix(zero_gold), "a_null")
+        rep = pair_translation_eval(BilingualSpace(src, bi.target), [query])
+        # 20 nonzero distractors, then the equally scored zero "a_null" first
+        assert rep.metrics["f_mrr"] == 1.0 / 22
 
     def test_source_context_is_excluded_from_candidates(self, rng):
         # plant the source context itself at the winning position; it must
