@@ -97,6 +97,42 @@ def semantic_direction(space: EmbeddingSpace,
     return _pca_over_differences(_difference_rows(space, usable))
 
 
+def _check_lda_classes(n_masc: int, n_fem: int, dim: int, ridge: float) -> None:
+    """Input checks shared by every LDA fit: ridge sign, at least two nouns
+    per class, and a warning when a class is small for the dimension."""
+    if ridge < 0.0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if n_masc < 2 or n_fem < 2:
+        raise ValueError(f"need at least 2 covered nouns per class, "
+                         f"have {n_masc} masculine / {n_fem} feminine")
+    if min(n_masc, n_fem) < dim / 10:
+        logger.warning("small noun classes for LDA (%d/%d words, dim %d)",
+                       n_masc, n_fem, dim)
+
+
+def _lda_solve(pooled: np.ndarray, mean_gap: np.ndarray,
+               ridge: float) -> np.ndarray:
+    """Unit solution of (pooled + eps*I) d = mean_gap with
+    eps = ridge * trace(pooled) / dim; eps = 0 requires a full-rank pooled
+    covariance."""
+    dim = pooled.shape[0]
+    eps = ridge * float(np.trace(pooled)) / dim
+    if eps == 0.0:
+        s = np.linalg.svd(pooled, compute_uv=False)
+        if s.min() <= s.max() * dim * np.finfo(float).eps:
+            raise ValueError("pooled covariance is rank-deficient; "
+                             "set ridge > 0 to regularize")
+    system = pooled + eps * np.eye(dim)
+    try:
+        d = np.linalg.solve(system, mean_gap)
+    except np.linalg.LinAlgError as e:
+        raise ValueError(f"singular LDA system even after ridge: {e}") from None
+    norm = np.linalg.norm(d)
+    if norm == 0.0:
+        raise ValueError("grammatical class means coincide; direction undefined")
+    return d / norm
+
+
 def grammatical_direction(space: EmbeddingSpace,
                           masculine: Sequence[str],
                           feminine: Sequence[str],
@@ -109,17 +145,9 @@ def grammatical_direction(space: EmbeddingSpace,
     the relative shrinkage coefficient; 0 disables regularization and then a
     rank-deficient pooled covariance is an error.
     """
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
     masc = [w for w in masculine if w in space]
     fem = [w for w in feminine if w in space]
-    if len(masc) < 2 or len(fem) < 2:
-        raise ValueError(f"need at least 2 covered nouns per class, "
-                         f"have {len(masc)} masculine / {len(fem)} feminine")
-    dim = space.dim
-    if min(len(masc), len(fem)) < dim / 10:
-        logger.warning("small noun classes for LDA (%d/%d words, dim %d)",
-                       len(masc), len(fem), dim)
+    _check_lda_classes(len(masc), len(fem), space.dim, ridge)
     xm = space.matrix[space.indices(masc)]
     xf = space.matrix[space.indices(fem)]
     mu_m = xm.mean(axis=0)
@@ -127,24 +155,27 @@ def grammatical_direction(space: EmbeddingSpace,
     cm = xm - mu_m
     cf = xf - mu_f
     pooled = (cm.T @ cm + cf.T @ cf) / (len(masc) + len(fem) - 2)
-    eps = ridge * float(np.trace(pooled)) / dim
-    if eps == 0.0:
-        s = np.linalg.svd(pooled, compute_uv=False)
-        if s.min() <= s.max() * dim * np.finfo(float).eps:
-            raise ValueError("pooled covariance is rank-deficient; "
-                             "set ridge > 0 to regularize")
-    system = pooled + eps * np.eye(dim)
-    try:
-        d = np.linalg.solve(system, mu_f - mu_m)
-    except np.linalg.LinAlgError as e:
-        raise ValueError(f"singular LDA system even after ridge: {e}") from None
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        raise ValueError("grammatical class means coincide; direction undefined")
-    d = d / norm
+    d = _lda_solve(pooled, mu_f - mu_m, ridge)
     if float(xf.mean(axis=0) @ d) < float(xm.mean(axis=0) @ d):
         d = -d
     return d
+
+
+def _scatter_stats(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, centred scatter c^T c) of a block of rows."""
+    mean = rows.mean(axis=0)
+    centred = rows - mean
+    return len(rows), mean, centred.T @ centred
+
+
+def _merge_stats(parts) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, centred scatter) of the union of row blocks given by
+    their own statistics: the block scatters plus the parallel-axis term
+    sum_j n_j (mu_j - mu)(mu_j - mu)^T, so no uncentred X^T X is formed."""
+    n = sum(p[0] for p in parts)
+    mean = sum(p[0] * p[1] for p in parts) / n
+    spread = np.vstack([np.sqrt(p[0]) * (p[1] - mean) for p in parts])
+    return n, mean, sum(p[2] for p in parts) + spread.T @ spread
 
 
 def lda_cross_validation(space: EmbeddingSpace,
@@ -155,8 +186,11 @@ def lda_cross_validation(space: EmbeddingSpace,
                          ridge: float = DEFAULT_RIDGE) -> float:
     """Stratified k-fold accuracy of the LDA projection classifier.
 
-    The fold classifier thresholds the projection at the midpoint of the two
-    training-class mean projections.  Deterministic for a fixed seed.
+    Each fold's classifier is the LDA direction of the other folds' nouns
+    (as ``grammatical_direction`` fits it) and thresholds the projection at
+    the midpoint of the two training-class mean projections.  Each fold's
+    count, mean and centred scatter are computed once and merged into the
+    training statistics of the other folds.  Deterministic for a fixed seed.
     """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
@@ -166,28 +200,25 @@ def lda_cross_validation(space: EmbeddingSpace,
         raise ValueError(f"need at least {folds} covered words per class, "
                          f"have {len(masc)}/{len(fem)}")
     rng = np.random.default_rng(seed)
-    masc_idx = rng.permutation(len(masc))
-    fem_idx = rng.permutation(len(fem))
-    masc_folds = np.array_split(masc_idx, folds)
-    fem_folds = np.array_split(fem_idx, folds)
+    blocks = []  # per class, the rows of each fold
+    for words in (masc, fem):
+        rows = space.matrix[space.indices(words)]
+        order = rng.permutation(len(words))
+        blocks.append([rows[part] for part in np.array_split(order, folds)])
+    stats = [[_scatter_stats(b) for b in cls] for cls in blocks]
     correct = 0
-    total = 0
     for k in range(folds):
-        test_m = [masc[i] for i in masc_folds[k]]
-        test_f = [fem[i] for i in fem_folds[k]]
-        train_m = [masc[i] for j in range(folds) if j != k for i in masc_folds[j]]
-        train_f = [fem[i] for j in range(folds) if j != k for i in fem_folds[j]]
-        d = grammatical_direction(space, train_m, train_f, ridge=ridge)
-        proj_m = space.matrix[space.indices(train_m)] @ d
-        proj_f = space.matrix[space.indices(train_f)] @ d
-        threshold = (proj_m.mean() + proj_f.mean()) / 2.0
-        for w in test_m:
-            correct += int(float(space.vector(w) @ d) <= threshold)
-            total += 1
-        for w in test_f:
-            correct += int(float(space.vector(w) @ d) > threshold)
-            total += 1
-    return correct / total
+        (n_m, mu_m, s_m), (n_f, mu_f, s_f) = (
+            _merge_stats(cls[:k] + cls[k + 1:]) for cls in stats)
+        _check_lda_classes(n_m, n_f, space.dim, ridge)
+        d = _lda_solve((s_m + s_f) / (n_m + n_f - 2), mu_f - mu_m, ridge)
+        proj_m, proj_f = float(mu_m @ d), float(mu_f @ d)
+        if proj_f < proj_m:
+            d, proj_m, proj_f = -d, -proj_m, -proj_f
+        threshold = (proj_m + proj_f) / 2.0
+        correct += int(np.count_nonzero(blocks[0][k] @ d <= threshold))
+        correct += int(np.count_nonzero(blocks[1][k] @ d > threshold))
+    return correct / (len(masc) + len(fem))
 
 
 def orthogonalize(d_pca: np.ndarray, d_g: np.ndarray) -> np.ndarray:

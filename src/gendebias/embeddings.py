@@ -46,7 +46,8 @@ class EmbeddingSpace:
     matrix : array-like, shape (len(words), dim)
         One row per word, finite entries only.
     normalized : bool
-        Declare that rows are unit-length (checked to ``NORM_TOL``).
+        Declare that rows are unit-length (checked to ``NORM_TOL``) or
+        all-zero.
     language_tag : str
         Free-form label ("es", "en", ...) carried through transforms.
     """
@@ -74,7 +75,7 @@ class EmbeddingSpace:
             index[w] = i
         if normalized:
             norms = np.linalg.norm(mat, axis=1)
-            off = np.abs(norms - 1.0)
+            off = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0))
             if np.any(off > NORM_TOL):
                 bad = int(np.argmax(off))
                 raise ValueError(
@@ -277,12 +278,11 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
 
 
 def unit_normalize(space: EmbeddingSpace) -> EmbeddingSpace:
-    """Scale every vector to unit Euclidean norm.  Errors on a zero vector."""
+    """Scale every vector to unit Euclidean norm; an all-zero vector stays
+    zero."""
     norms = space.row_norms()
-    if np.any(norms == 0.0):
-        bad = int(np.argmax(norms == 0.0))
-        raise ValueError(f"cannot normalize zero vector for {space.words[bad]!r}")
-    return space.with_matrix(space.matrix / norms[:, None], normalized=True)
+    scale = np.where(norms == 0.0, 1.0, norms)
+    return space.with_matrix(space.matrix / scale[:, None], normalized=True)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -155,14 +155,18 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
                       details=tuple(details))
 
 
-def _rank_of(scores: np.ndarray, gold_idx: int, candidate_mask: np.ndarray,
-             lex_rank: np.ndarray) -> int:
+def _rank_of(scores: np.ndarray, gold_idx, candidate_mask: np.ndarray,
+             lex_rank: np.ndarray):
     """1-based rank of the gold among masked candidates: strictly better
-    scores first, equal scores broken by ascending lexicographic order."""
-    gold_score = scores[gold_idx]
+    scores first, equal scores broken by ascending lexicographic order.
+    Row-wise for 2-D ``scores`` and ``candidate_mask`` with one gold index
+    per row."""
+    gold_idx = np.asarray(gold_idx)
+    gold_score = np.take_along_axis(scores, gold_idx[..., None], axis=-1)
     better = candidate_mask & (scores > gold_score)
-    tied = candidate_mask & (scores == gold_score) & (lex_rank < lex_rank[gold_idx])
-    return 1 + int(np.count_nonzero(better)) + int(np.count_nonzero(tied))
+    tied = (candidate_mask & (scores == gold_score)
+            & (lex_rank < lex_rank[gold_idx][..., None]))
+    return 1 + np.count_nonzero(better, axis=-1) + np.count_nonzero(tied, axis=-1)
 
 
 def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
@@ -181,7 +185,7 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
     """
     if not queries:
         raise ValueError("no analogy queries given")
-    src = bi.source
+    src, tgt = bi.source, bi.target
     lex_rank = src.lex_rank()
     base_mask = np.full(len(src), restrict_to is None)
     for w in restrict_to or ():
@@ -189,28 +193,29 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
             base_mask[src.index(w)] = True
     if not base_mask.any():
         raise ValueError("restrict_to leaves no candidates")
+    resolved = [q for q in queries
+                if q.english_context in tgt and q.english_target in tgt
+                and q.source_context in src and q.gold in src]
+    targets = (tgt.matrix[tgt.indices(q.english_target for q in resolved)]
+               - tgt.matrix[tgt.indices(q.english_context for q in resolved)]
+               + src.matrix[src.indices(q.source_context for q in resolved)])
+    live = np.linalg.norm(targets, axis=1) > 0.0  # a zero analogy vector has no cosine
+    resolved = [q for q, ok in zip(resolved, live) if ok]
+    targets = targets[live]
+    skipped = len(queries) - len(resolved)
     rr: dict[str, list[float]] = {"masculine": [], "feminine": []}
-    skipped = 0
-    for q in queries:
-        if (q.english_context not in bi.target or q.english_target not in bi.target
-                or q.source_context not in src or q.gold not in src):
-            skipped += 1
-            continue
-        target_vec = (bi.target.vector(q.english_target)
-                      - bi.target.vector(q.english_context)
-                      + src.vector(q.source_context))
-        try:
-            scores = _cosine_scores(src, target_vec[None, :])[0]
-        except ValueError:  # zero analogy vector
-            skipped += 1
-            continue
-        mask = base_mask.copy()
-        for w in (q.source_context, q.english_context, q.english_target):
-            if w in src:
-                mask[src.index(w)] = False
-        gold_idx = src.index(q.gold)
-        mask[gold_idx] = True  # the gold is always a candidate
-        rr[q.gold_gender].append(1.0 / _rank_of(scores, gold_idx, mask, lex_rank))
+    for start in range(0, len(resolved), _SCORE_CHUNK):
+        chunk = resolved[start:start + _SCORE_CHUNK]
+        scores = _cosine_scores(src, targets[start:start + _SCORE_CHUNK])
+        mask = np.repeat(base_mask[None, :], len(chunk), axis=0)
+        for row, q in enumerate(chunk):
+            for w in (q.source_context, q.english_context, q.english_target):
+                if w in src:
+                    mask[row, src.index(w)] = False
+        gold_idx = src.indices([q.gold for q in chunk])
+        mask[np.arange(len(chunk)), gold_idx] = True  # the gold is always a candidate
+        for q, rank in zip(chunk, _rank_of(scores, gold_idx, mask, lex_rank)):
+            rr[q.gold_gender].append(1.0 / rank)
     n_resolved = len(rr["masculine"]) + len(rr["feminine"])
     if n_resolved == 0:
         raise ValueError("no analogy query could be resolved against the spaces")

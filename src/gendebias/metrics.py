@@ -85,12 +85,12 @@ class BiasQuery:
 
 
 def _unit_rows(space: EmbeddingSpace, words: Sequence[str]) -> np.ndarray:
-    rows = space.matrix[space.indices(words)]
-    norms = np.linalg.norm(rows, axis=1)
+    idx = space.indices(words)
+    norms = space.row_norms()[idx]
     if np.any(norms == 0.0):
         bad = words[int(np.argmax(norms == 0.0))]
         raise ValueError(f"zero vector for {bad!r}")
-    return rows / norms[:, None]
+    return space.matrix[idx] / norms[:, None]
 
 
 def association_scores(words: Sequence[str], attrs_a: Sequence[str],

@@ -120,6 +120,35 @@ def lda_direction_inverse(x_masc, x_fem, ridge):
     return d
 
 
+def lda_cv_reference(vectors, masculine, feminine, folds=5, seed=0, ridge=1e-3):
+    """Per-fold loop for stratified k-fold LDA accuracy: each fold refits the
+    explicit-inverse LDA direction on the other folds' words and scores its
+    held-out words one at a time against the midpoint of the training-class
+    mean projections.  Folds come from one seeded permutation per class,
+    masculine first, split as np.array_split does."""
+    masc = [w for w in masculine if w in vectors]
+    fem = [w for w in feminine if w in vectors]
+    rng = np.random.default_rng(seed)
+    masc_folds = np.array_split(rng.permutation(len(masc)), folds)
+    fem_folds = np.array_split(rng.permutation(len(fem)), folds)
+    correct = 0
+    total = 0
+    for k in range(folds):
+        train_m = [masc[i] for j in range(folds) if j != k for i in masc_folds[j]]
+        train_f = [fem[i] for j in range(folds) if j != k for i in fem_folds[j]]
+        x_m = np.array([vectors[w] for w in train_m])
+        x_f = np.array([vectors[w] for w in train_f])
+        d = lda_direction_inverse(x_m, x_f, ridge)
+        threshold = ((x_m @ d).mean() + (x_f @ d).mean()) / 2.0
+        for i in masc_folds[k]:
+            correct += int(float(vectors[masc[i]] @ d) <= threshold)
+            total += 1
+        for i in fem_folds[k]:
+            correct += int(float(vectors[fem[i]] @ d) > threshold)
+            total += 1
+    return correct / total
+
+
 def pearson(xs, ys):
     n = len(xs)
     mx = sum(xs) / n

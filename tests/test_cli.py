@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 import gendebias.cli
@@ -138,6 +139,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: out of memory: Unable to allocate 18.7 GiB" in err
         assert "Traceback" not in err
+
+
+class TestZeroVectors:
+    @pytest.mark.parametrize("csls", [False, True])
+    def test_translation_reads_zero_rows(self, tmp_path, capsys, csls):
+        (tmp_path / "src.vec").write_text("3 2\na 1 0\nb 0 1\nz 0 0\n",
+                                          encoding="utf-8")
+        (tmp_path / "en.vec").write_text("4 2\nx 1 0\nzz 0 0\ny 0 1\nw 1 1\n",
+                                         encoding="utf-8")
+        (tmp_path / "dict.tsv").write_text("a\tx\nb\ty\n", encoding="utf-8")
+        out = tmp_path / "t.json"
+        code = main(["eval-translation", *(["--csls"] if csls else []),
+                     "--embeddings", str(tmp_path / "src.vec"),
+                     "--embeddings-en", str(tmp_path / "en.vec"),
+                     "--dict", str(tmp_path / "dict.tsv"), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads(out.read_text(encoding="utf-8"))["report"]
+        assert report["metrics"]["p_at_1"] == 100.0
+        rows = (tmp_path / "t.json.details.csv").read_text(
+            encoding="utf-8").splitlines()[2:]
+        assert [row.split(",")[2].split("|")[-1] for row in rows] == ["zz", "zz"]
+
+    def test_audit_names_a_zero_attribute_word(self, cli_files, fixture_aligned,
+                                               tmp_path, capsys):
+        space = fixture_aligned.source
+        word = fixture_aligned.lexicon.attributes_male[0]
+        matrix = np.array(space.matrix)
+        matrix[space.index(word)] = 0.0
+        path = tmp_path / "zero.vec"
+        save_text_embeddings(space.with_matrix(matrix), path)
+        code = main(["audit", "--embeddings", str(path),
+                     "--lexicon", str(cli_files["lex"]), "--n-perm", "100",
+                     "--out", str(tmp_path / "a.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: zero vector for {word!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a.json").exists()
 
 
 class TestDirections:

@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +228,77 @@ class TestLdaCrossValidation:
             lda_cross_validation(space, masc, fem, folds=1)
         with pytest.raises(ValueError):
             lda_cross_validation(space, masc, fem, folds=11)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12),
+           extra_m=st.integers(10, 30), extra_f=st.integers(10, 30),
+           folds=st.integers(2, 10), ridge=st.sampled_from([0.0, 1e-3, 0.5]),
+           separation=st.sampled_from([0.0, 0.3, 2.0]), shuffled=st.booleans())
+    def test_matches_per_fold_reference(self, seed, dim, extra_m, extra_f,
+                                        folds, ridge, separation, shuffled):
+        # at least dim + 10 nouns per class keep every training fold's pooled
+        # covariance full rank, so ridge 0 is well posed
+        rng = np.random.default_rng(seed)
+        n_m, n_f = dim + extra_m, dim + extra_f
+        axis = rng.standard_normal(dim)
+        x = rng.standard_normal((n_m + n_f, dim))
+        x[:n_m] -= separation * axis
+        x[n_m:] += separation * axis
+        words = [f"w{i:03d}" for i in range(n_m + n_f)]
+        if shuffled:
+            words = [words[i] for i in rng.permutation(len(words))]
+        masc = words[:n_m] + ["missing_m"]
+        fem = ["missing_f"] + words[n_m:]
+        space = EmbeddingSpace(words, x)
+        got = lda_cross_validation(space, masc, fem, folds=folds, seed=seed,
+                                   ridge=ridge)
+        want = oracles.lda_cv_reference(dict(zip(words, x)), masc, fem,
+                                        folds=folds, seed=seed, ridge=ridge)
+        assert got == want
+
+    def test_negative_ridge_rejected(self):
+        rng = np.random.default_rng(1)
+        space, masc, fem = class_space(rng, 20, 4, np.eye(4)[0], 0.5)
+        with pytest.raises(ValueError, match="ridge must be >= 0, got -0.1"):
+            lda_cross_validation(space, masc, fem, ridge=-0.1)
+
+    def test_training_class_below_two_words_rejected(self, fixture_aligned,
+                                                     caplog):
+        # 3 masculine nouns in 2 folds: fold 0 trains on a single one
+        lex = fixture_aligned.lexicon
+        short = dataclasses.replace(
+            lex, grammatical_masculine=lex.grammatical_masculine[:3])
+        message = "need at least 2 covered nouns per class, have 1 masculine / "
+        with pytest.raises(ValueError, match=message):
+            lda_cross_validation(fixture_aligned.source,
+                                 short.grammatical_masculine,
+                                 short.grammatical_feminine, folds=2)
+        with caplog.at_level(logging.INFO, logger="gendebias.directions"):
+            bundle = build_directions(fixture_aligned.source, short, cv_folds=2)
+        assert bundle.lda_cv_accuracy is None
+        assert any(r.message.startswith("skipping LDA cross-validation: " + message)
+                   for r in caplog.records)
+
+    def test_zero_ridge_rank_deficient_rejected(self):
+        # 2 folds of 8 nouns per class train on 8 rows in 10 dimensions
+        rng = np.random.default_rng(4)
+        space, masc, fem = class_space(rng, 8, 10, E[0], 0.5)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            lda_cross_validation(space, masc, fem, folds=2, ridge=0.0)
+        assert 0.0 <= lda_cross_validation(space, masc, fem, folds=2) <= 1.0
+
+    @pytest.mark.parametrize("n_per_class, warned", [(5, 5), (7, 0)])
+    def test_small_class_warning_per_fold(self, caplog, n_per_class, warned):
+        # dim 50 warns when a training class has fewer than 5 nouns: 5 nouns
+        # in 5 folds train on 4 in every fold, 7 nouns on 5 or 6
+        rng = np.random.default_rng(8)
+        space, masc, fem = class_space(rng, n_per_class, 50, np.eye(50)[0], 0.5)
+        with caplog.at_level(logging.WARNING, logger="gendebias.directions"):
+            lda_cross_validation(space, masc, fem, folds=5)
+        small = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("small noun classes")]
+        assert small == ["small noun classes for LDA (4/4 words, dim 50)"] * warned
 
 
 class TestOrthogonalize:

@@ -101,10 +101,16 @@ class TestNormalization:
         again = unit_normalize(space)
         assert np.max(np.abs(again.matrix - space.matrix)) < 1e-15
 
-    def test_zero_vector_rejected(self):
-        space = EmbeddingSpace(["a", "b"], [[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="b"):
-            unit_normalize(space)
+    def test_zero_vector_stays_zero(self):
+        space = EmbeddingSpace(["a", "b"], [[3.0, 4.0], [0.0, 0.0]])
+        unit = unit_normalize(space)
+        assert unit.normalized
+        assert unit.matrix.tolist() == [[0.6, 0.8], [0.0, 0.0]]
+
+    def test_normalized_space_accepts_only_unit_or_zero_rows(self):
+        EmbeddingSpace(["a", "b"], [[1.0, 0.0], [0.0, 0.0]], normalized=True)
+        with pytest.raises(ValueError, match="'b'"):
+            EmbeddingSpace(["a", "b"], [[1.0, 0.0], [0.0, 1e-3]], normalized=True)
 
 
 class TestCosine:

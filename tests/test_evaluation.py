@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -376,6 +377,7 @@ class TestPairTranslation:
             pair_translation_eval(bi, [query], occupation_pairs=pairs)
 
     def test_rank_matches_full_sort_oracle(self, rng):
+        rows = []
         for trial in range(20):
             n = 30
             words = [f"w{i:03d}" for i in range(n)]
@@ -388,6 +390,40 @@ class TestPairTranslation:
             got = _rank_of(scores, gold_idx, mask, lex_rank)
             pool = {words[i]: float(scores[i]) for i in range(n) if mask[i]}
             assert got == oracles.analogy_rank(pool, words[gold_idx])
+            rows.append((scores, gold_idx, mask, got))
+        scores, golds, masks, ranks = (np.array(c) for c in zip(*rows))
+        assert _rank_of(scores, golds, masks, lex_rank).tolist() == ranks.tolist()
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_batched_ranks_match_one_query_at_a_time(self, monkeypatch, restricted):
+        rng = np.random.default_rng(23)
+        src_words = [f"s{i:02d}" for i in range(30)]
+        src_rows = rng.standard_normal((30, 6))
+        src_rows[7] = 0.0  # ranks last; query 5's analogy e1 - e1 + s07 is zero
+        bi = BilingualSpace(EmbeddingSpace(src_words, src_rows),
+                            EmbeddingSpace([f"e{i}" for i in range(8)],
+                                           rng.standard_normal((8, 6))))
+        queries = [AnalogyQuery(english_context=f"e{rng.integers(8)}",
+                                english_target=f"e{rng.integers(8)}",
+                                source_context=src_words[rng.integers(30)],
+                                gold=src_words[rng.integers(30)],
+                                gold_gender=("masculine", "feminine")[i % 2])
+                   for i in range(11)]
+        queries[3] = dataclasses.replace(queries[3], gold="missing")
+        queries[5] = dataclasses.replace(queries[5], english_target="e1",
+                                         english_context="e1", source_context="s07")
+        queries[8] = dataclasses.replace(queries[8], gold=queries[8].source_context)
+        restrict_to = src_words[::2] if restricted else None
+        one_by_one = {"masculine": [], "feminine": []}
+        for q in queries[:3] + queries[4:5] + queries[6:]:
+            rep = pair_translation_eval(bi, [q], restrict_to=restrict_to)
+            one_by_one[q.gold_gender].append(rep.metrics[q.gold_gender[0] + "_mrr"])
+        monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 3)
+        rep = pair_translation_eval(bi, queries, restrict_to=restrict_to)
+        assert rep.metrics["n_queries"] == 9.0
+        assert rep.coverage == 9 / 11
+        assert rep.metrics["m_mrr"] == np.mean(one_by_one["masculine"])
+        assert rep.metrics["f_mrr"] == np.mean(one_by_one["feminine"])
 
 
 class TestProjectionExport:
