@@ -30,8 +30,9 @@ from .lexicon import (build_analogy_queries, coverage_filter,
                       load_bilingual_dictionary, load_lexicon,
                       load_similarity_dataset)
 from .metrics import audit_bias, bias_correlation, mweat_pair, weat_assoc
-from .mitigation import (METHODS, EnglishDebiasConfig, mitigate_de_align,
-                         mitigate_hybrid, mitigate_shift_en, mitigate_shift_ori)
+from .mitigation import (METHODS, EnglishDebiasConfig, MitigationOutcome,
+                         mitigate_de_align, mitigate_hybrid, mitigate_shift_en,
+                         mitigate_shift_ori)
 
 logger = logging.getLogger(__name__)
 
@@ -153,14 +154,11 @@ def cmd_mitigate(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _config_block(args)
-    dirs = None
     extra: dict = {}
 
     if args.method == "shift_ori":
         dirs = build_directions(space, lex, ridge=args.ridge, seed=args.seed)
         outcome = mitigate_shift_ori(space, lex, dirs)
-        mitigated_source = outcome.source_space
-        english_out = None
     else:
         _require(args, "embeddings_en", "lexicon_en")
         en_space = _load_space(args.embeddings_en, args.max_words)
@@ -175,32 +173,23 @@ def cmd_mitigate(args):
                                         ridge=args.ridge, seed=args.seed)
             outcome = mitigate_shift_en(bi, lex, dirs)
         elif args.method == "de_align":
-            bi = mitigate_de_align(space, en_space, seed_dict, en_config)
-            outcome = None
+            outcome = MitigationOutcome(
+                method=args.method,
+                space=mitigate_de_align(space, en_space, seed_dict, en_config),
+                residual={}, words_touched=0, anchors_used={})
             extra["seed_pairs"] = (seed_dict.n_pairs if seed_dict is not None
                                    else "identity")
         else:
             variant = args.method.split("_", 1)[1]
             outcome = mitigate_hybrid(space, en_space, lex, variant, seed_dict,
                                       en_config, ridge=args.ridge, seed=args.seed)
-            dirs = outcome.directions
-        if outcome is not None:
-            mitigated_source = outcome.source_space
-            english_out = outcome.space.target
-        else:
-            mitigated_source = bi.source
-            english_out = bi.target
 
-    save_text_embeddings(mitigated_source, out_dir / "source.vec")
-    if english_out is not None:
-        save_text_embeddings(english_out, out_dir / "english.vec")
-    if outcome is not None:
-        payload = outcome.to_json_dict()
-    else:
-        payload = {"method": args.method, "words_touched": 0,
-                   "residuals": {}, "anchors": {}, "max_residual": 0.0}
-    payload.update(extra)
+    save_text_embeddings(outcome.source_space, out_dir / "source.vec")
+    if isinstance(outcome.space, BilingualSpace):
+        save_text_embeddings(outcome.space.target, out_dir / "english.vec")
+    payload = {**outcome.to_json_dict(), **extra}
     _write_json(out_dir / "outcome.json", {"config": config, "outcome": payload})
+    dirs = outcome.directions
     if dirs is not None:
         _write_json(out_dir / "directions.json",
                     {"config": config, "directions": dirs.to_json_dict()})

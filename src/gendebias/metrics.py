@@ -191,10 +191,12 @@ def _partition_null(s_all: np.ndarray, size_x: int, n_perm: int,
 
 
 def _permutation(query: BiasQuery, space: EmbeddingSpace, n_perm: int,
-                 seed: int, protocol: str | None) -> tuple[float, float, int]:
+                 seed: int, protocol: str | None,
+                 ) -> tuple[float, float, int, np.ndarray, np.ndarray]:
     """Shared permutation machinery.
 
-    Returns (observed statistic, p-value, permutation count actually used).
+    Returns (observed statistic, p-value, permutation count actually used,
+    and the x and y association scores).
     p = (exceedances + 1) / (n_permutations + 1); in exhaustive pair-swap
     mode this equals the exact enumeration value #{null >= observed} / 2^n.
     Null values within TIE_REL_TOL of the observed statistic count as
@@ -225,7 +227,7 @@ def _permutation(query: BiasQuery, space: EmbeddingSpace, n_perm: int,
         n_used = n_perm
         exceed = int(np.sum(null >= cutoff))
     p = (exceed + 1) / (n_used + 1)
-    return observed, float(p), n_used
+    return observed, float(p), n_used, sx, sy
 
 
 def permutation_test(query: BiasQuery, space: EmbeddingSpace,
@@ -304,9 +306,8 @@ def audit_bias(lexicon, space: EmbeddingSpace, n_perm: int = 10_000,
     query = BiasQuery(x_words=x_words, y_words=y_words,
                       attrs_a=lexicon.attributes_male,
                       attrs_b=lexicon.attributes_female, paired=True)
-    observed, p, n_used = _permutation(query, space, n_perm, seed, "pair_swap")
-    sx = association_scores(x_words, query.attrs_a, query.attrs_b, space)
-    sy = association_scores(y_words, query.attrs_a, query.attrs_b, space)
+    observed, p, n_used, sx, sy = _permutation(query, space, n_perm, seed,
+                                               "pair_swap")
     pairs = tuple(
         PairScore(word_m=m, word_f=f, s_m=float(sm), s_f=float(sf),
                   b_unsigned=abs(abs(float(sm)) - abs(float(sf))),

@@ -18,7 +18,7 @@ reports what it does to the residuals.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,35 +36,76 @@ METHODS = ("shift_ori", "shift_en", "de_align", "hybrid_ori", "hybrid_en")
 _PARALLEL_TOL = 1e-12
 
 
+def _neutralize_rows(matrix: np.ndarray, rows, direction: np.ndarray,
+                     words: Sequence[str | None]) -> None:
+    """Remove the direction from matrix[rows] and renormalize those rows, in
+    place.  The module's one zero/parallel check: words[row] names the first
+    row that fails it (None for an unnamed vector)."""
+    block = matrix[rows]
+    residual = block - np.outer(block @ direction, direction)
+    norms = np.linalg.norm(residual, axis=1)
+    sizes = np.linalg.norm(block, axis=1)
+    bad = norms <= _PARALLEL_TOL * np.maximum(1.0, sizes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        word = words[rows[i]]
+        label = "" if word is None else f" for {word!r}"
+        if sizes[i] == 0.0:
+            raise ValueError(f"zero vector{label}")
+        raise ValueError(f"vector{label} is parallel to the direction; "
+                         f"neutralized residual is zero")
+    matrix[rows] = residual / norms[:, None]
+
+
+def _shift_rows(matrix: np.ndarray, masc, fem, anchors: np.ndarray,
+                direction: np.ndarray) -> None:
+    """Shift every pair (matrix[masc[i]], matrix[fem[i]]) along the direction
+    so its projections become symmetric about anchors[i], in place, in one
+    indexed update.  No row may occur twice in masc and fem together."""
+    step = np.outer((matrix[masc] @ direction + matrix[fem] @ direction
+                     - 2.0 * anchors) / 2.0, direction)
+    matrix[masc] -= step
+    matrix[fem] -= step
+
+
+def _pair_residuals(matrix: np.ndarray, masc, fem, anchors: np.ndarray,
+                    direction: np.ndarray) -> np.ndarray:
+    """|<w_m, d> + <w_f, d> - 2*anchor| for every pair."""
+    return np.abs(matrix[masc] @ direction + matrix[fem] @ direction
+                  - 2.0 * anchors)
+
+
+def _pair_rows(space: EmbeddingSpace, anchors: dict[tuple[str, str], float],
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masculine rows, feminine rows and anchor values of the anchored pairs."""
+    return (space.indices(m for m, _ in anchors),
+            space.indices(f for _, f in anchors),
+            np.fromiter(anchors.values(), dtype=np.float64, count=len(anchors)))
+
+
 def neutralize(vector: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Remove the direction component and renormalize to unit length."""
-    vector = np.asarray(vector, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    residual = vector - np.dot(vector, direction) * direction
-    norm = np.linalg.norm(residual)
-    if norm <= _PARALLEL_TOL * max(1.0, np.linalg.norm(vector)):
-        raise ValueError("vector is parallel to the direction; "
-                         "neutralized residual is zero")
-    return residual / norm
+    matrix = np.array(vector, dtype=np.float64, ndmin=2)
+    _neutralize_rows(matrix, [0], np.asarray(direction, dtype=np.float64),
+                     (None,))
+    return matrix[0]
 
 
 def shift_pair(vec_m: np.ndarray, vec_f: np.ndarray, direction: np.ndarray,
                anchor_proj: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Shift both vectors along the direction so their projections become
     symmetric about anchor_proj.  No renormalization."""
-    vec_m = np.asarray(vec_m, dtype=np.float64)
-    vec_f = np.asarray(vec_f, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    delta = (np.dot(vec_m, direction) + np.dot(vec_f, direction)
-             - 2.0 * anchor_proj) / 2.0
-    return vec_m - delta * direction, vec_f - delta * direction
+    matrix = np.array([vec_m, vec_f], dtype=np.float64)
+    _shift_rows(matrix, [0], [1], np.array([anchor_proj], dtype=np.float64),
+                np.asarray(direction, dtype=np.float64))
+    return matrix[0], matrix[1]
 
 
 @dataclass(frozen=True)
 class MitigationOutcome:
     """What a shift pipeline did: the new space, per-pair symmetry residuals
-    |<w_m, d_s> + <w_f, d_s> - 2*anchor| measured after the shift, the
-    anchors used, and how many vectors were touched."""
+    |<w_m, d_s> + <w_f, d_s> - 2*anchor| measured on the final space, the
+    anchors used, and how many distinct rows changed."""
 
     method: str
     space: "EmbeddingSpace | BilingualSpace"
@@ -92,49 +133,50 @@ class MitigationOutcome:
         }
 
 
-def _shift_and_neutralize(space: EmbeddingSpace, lexicon: GenderLexicon,
-                          d_s: np.ndarray,
-                          anchors: dict[tuple[str, str], float],
-                          ) -> tuple[EmbeddingSpace, dict, int]:
-    """Apply pair shifts with the given anchors, neutralize inanimate nouns,
-    and leave every other row bit-identical."""
+def _shift_outcome(method: str, space: "EmbeddingSpace | BilingualSpace",
+                   lexicon: GenderLexicon, directions: GenderDirections,
+                   anchors: dict[tuple[str, str], float] | None = None,
+                   ) -> MitigationOutcome:
+    """Shift every occupation pair of the gendered-language side so it is
+    symmetric about its anchor (anchors=None: the origin), neutralize the
+    inanimate nouns that are not pair forms, and leave every other row
+    bit-identical.  Residuals are measured on the final matrix."""
     if not lexicon.occupation_pairs and not lexicon.inanimate_nouns:
         raise ValueError("lexicon has neither occupation pairs nor inanimate nouns; "
                          "nothing to mitigate")
-    matrix = np.array(space.matrix, copy=True)
-    residual: dict[tuple[str, str], float] = {}
-    touched = 0
-    pair_words = {w for p in lexicon.occupation_pairs for w in p.words}
-    for pair in lexicon.occupation_pairs:
-        im = space.index(pair.masculine)
-        iff = space.index(pair.feminine)
-        anchor = anchors[pair.words]
-        new_m, new_f = shift_pair(matrix[im], matrix[iff], d_s, anchor)
-        matrix[im] = new_m
-        matrix[iff] = new_f
-        residual[pair.words] = abs(float(matrix[im] @ d_s) + float(matrix[iff] @ d_s)
-                                   - 2.0 * anchor)
-        touched += 2
-    for word in lexicon.inanimate_nouns:
-        if word in pair_words:
-            # occupation forms take precedence over a double listing
-            continue
-        i = space.index(word)
-        matrix[i] = neutralize(matrix[i], d_s)
-        touched += 1
-    return space.with_matrix(matrix, normalized=False), residual, touched
+    if anchors is None:
+        anchors = {p.words: 0.0 for p in lexicon.occupation_pairs}
+    bilingual = isinstance(space, BilingualSpace)
+    source = space.source if bilingual else space
+    d_s = directions.d_s
+    masc, fem, values = _pair_rows(source, anchors)
+    forms = np.concatenate([masc, fem])
+    rows, counts = np.unique(forms, return_counts=True)
+    if (counts > 1).any():
+        word = source.words[rows[np.argmax(counts > 1)]]
+        first, second = [pair for pair in anchors if word in pair][:2]
+        raise ValueError(f"form {word!r} is shared by occupation pairs "
+                         f"{first!r} and {second!r}; both cannot be symmetric")
+    # occupation forms take precedence over a double listing as inanimate
+    nouns = np.setdiff1d(source.indices(lexicon.inanimate_nouns), forms)
+    matrix = np.array(source.matrix, copy=True)
+    _shift_rows(matrix, masc, fem, values, d_s)
+    _neutralize_rows(matrix, nouns, d_s, source.words)
+    residual = _pair_residuals(matrix, masc, fem, values, d_s)
+    new_source = source.with_matrix(matrix, normalized=False)
+    return MitigationOutcome(
+        method=method,
+        space=BilingualSpace(new_source, space.target) if bilingual else new_source,
+        residual=dict(zip(anchors, residual.tolist())),
+        words_touched=len(forms) + len(nouns), anchors_used=anchors,
+        directions=directions)
 
 
 def mitigate_shift_ori(space: EmbeddingSpace, lexicon: GenderLexicon,
                        directions: GenderDirections) -> MitigationOutcome:
     """Origin-anchored shifting: every occupation pair becomes symmetric
     about zero semantic projection; inanimate nouns are neutralized."""
-    anchors = {p.words: 0.0 for p in lexicon.occupation_pairs}
-    new_space, residual, touched = _shift_and_neutralize(
-        space, lexicon, directions.d_s, anchors)
-    return MitigationOutcome(method="shift_ori", space=new_space,
-                             residual=residual, words_touched=touched,
-                             anchors_used=anchors, directions=directions)
+    return _shift_outcome("shift_ori", space, lexicon, directions)
 
 
 def _english_anchors(bi: BilingualSpace, lexicon: GenderLexicon,
@@ -156,13 +198,8 @@ def mitigate_shift_en(bi: BilingualSpace, lexicon: GenderLexicon,
     """English-anchored shifting in an already co-embedded bilingual space:
     each pair becomes symmetric about its English translation's semantic
     projection; inanimate nouns are neutralized."""
-    anchors = _english_anchors(bi, lexicon, directions.d_s)
-    new_source, residual, touched = _shift_and_neutralize(
-        bi.source, lexicon, directions.d_s, anchors)
-    return MitigationOutcome(method="shift_en",
-                             space=BilingualSpace(new_source, bi.target),
-                             residual=residual, words_touched=touched,
-                             anchors_used=anchors, directions=directions)
+    return _shift_outcome("shift_en", bi, lexicon, directions,
+                          _english_anchors(bi, lexicon, directions.d_s))
 
 
 @dataclass(frozen=True)
@@ -207,23 +244,11 @@ def hard_debias_english(space: EmbeddingSpace,
     if not space.normalized:
         space = unit_normalize(space)
     d_en, _ = semantic_direction(space, definitional_pairs)
-    protected = set(gender_specific)
-    equalize_members = set()
-    for m, f in equalize_pairs:
-        equalize_members.update((m, f))
+    exempt = set(gender_specific).union(*equalize_pairs)
     matrix = np.array(space.matrix, copy=True)
-    # neutralize() applied to every unprotected row at once.
-    free = np.array([w not in protected and w not in equalize_members
-                     for w in space.words], dtype=bool)
-    rows = matrix[free]
-    residual = rows - np.outer(rows @ d_en, d_en)
-    norms = np.linalg.norm(residual, axis=1)
-    parallel = norms <= _PARALLEL_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1))
-    if parallel.any():
-        word = space.words[int(np.flatnonzero(free)[np.argmax(parallel)])]
-        raise ValueError(f"vector for {word!r} is parallel to the direction; "
-                         f"neutralized residual is zero")
-    matrix[free] = residual / norms[:, None]
+    _neutralize_rows(matrix,
+                     np.flatnonzero([w not in exempt for w in space.words]),
+                     d_en, space.words)
     for m, f in equalize_pairs:
         im = space.index(m)
         iff = space.index(f)
@@ -253,22 +278,18 @@ def procrustes_matrix(source: EmbeddingSpace, target: EmbeddingSpace,
 
     Requires at least dim covered pairs; below 5*dim a warning is logged.
     """
-    xs, ys = [], []
-    for src_word, tgt_word in seed_dict.pairs():
-        if src_word in source and tgt_word in target:
-            xs.append(source.vector(src_word))
-            ys.append(target.vector(tgt_word))
+    pairs = [(s, t) for s, t in seed_dict.pairs() if s in source and t in target]
     dim = source.dim
     if target.dim != dim:
         raise ValueError(f"dimension mismatch: {dim} vs {target.dim}")
-    if len(xs) < dim:
-        raise ValueError(f"insufficient seed pairs: {len(xs)} covered, "
+    if len(pairs) < dim:
+        raise ValueError(f"insufficient seed pairs: {len(pairs)} covered, "
                          f"need at least dim = {dim}")
-    if len(xs) < 5 * dim:
+    if len(pairs) < 5 * dim:
         logger.warning("only %d seed pairs for dim %d; alignment may be unstable",
-                       len(xs), dim)
-    x = np.vstack(xs)
-    y = np.vstack(ys)
+                       len(pairs), dim)
+    x = source.matrix[source.indices(s for s, _ in pairs)]
+    y = target.matrix[target.indices(t for _, t in pairs)]
     cross = y.T @ x
     u, s, vt = np.linalg.svd(cross)
     if s.min() <= s.max() * max(cross.shape) * np.finfo(float).eps:
@@ -321,16 +342,8 @@ def mitigate_hybrid(source: EmbeddingSpace, english: EmbeddingSpace,
     bi = mitigate_de_align(source, english, seed_dict, en_config)
     dirs = bilingual_directions(bi, lexicon, en_config.definitional_pairs,
                                 ridge=ridge, cv_folds=cv_folds, seed=seed)
-    if variant == "en":
-        anchors = _english_anchors(bi, lexicon, dirs.d_s)
-    else:
-        anchors = {p.words: 0.0 for p in lexicon.occupation_pairs}
-    new_source, residual, touched = _shift_and_neutralize(
-        bi.source, lexicon, dirs.d_s, anchors)
-    return MitigationOutcome(method=f"hybrid_{variant}",
-                             space=BilingualSpace(new_source, bi.target),
-                             residual=residual, words_touched=touched,
-                             anchors_used=anchors, directions=dirs)
+    anchors = _english_anchors(bi, lexicon, dirs.d_s) if variant == "en" else None
+    return _shift_outcome(f"hybrid_{variant}", bi, lexicon, dirs, anchors)
 
 
 def renormalize_outcome(outcome: MitigationOutcome) -> MitigationOutcome:
@@ -339,23 +352,14 @@ def renormalize_outcome(outcome: MitigationOutcome) -> MitigationOutcome:
     for unit norms)."""
     if outcome.directions is None:
         raise ValueError("outcome carries no directions; cannot recompute residuals")
-    d_s = outcome.directions.d_s
     src = unit_normalize(outcome.source_space)
-    if isinstance(outcome.space, BilingualSpace):
-        new_space: EmbeddingSpace | BilingualSpace = BilingualSpace(
-            src, outcome.space.target)
-    else:
-        new_space = src
-    residual = {}
-    for (m, f), anchor in outcome.anchors_used.items():
-        res = abs(float(src.vector(m) @ d_s) + float(src.vector(f) @ d_s)
-                  - 2.0 * anchor)
-        residual[(m, f)] = res
+    new_space = (BilingualSpace(src, outcome.space.target)
+                 if isinstance(outcome.space, BilingualSpace) else src)
+    residual = dict(zip(outcome.anchors_used, _pair_residuals(
+        src.matrix, *_pair_rows(src, outcome.anchors_used),
+        outcome.directions.d_s).tolist()))
     if residual:
         logger.info("renormalization raised max pair residual to %.3e",
                     max(residual.values()))
-    return MitigationOutcome(method=outcome.method + "+renorm", space=new_space,
-                             residual=residual,
-                             words_touched=outcome.words_touched,
-                             anchors_used=outcome.anchors_used,
-                             directions=outcome.directions)
+    return replace(outcome, method=outcome.method + "+renorm", space=new_space,
+                   residual=residual)

@@ -87,6 +87,47 @@ def analogy_rank(scored_candidates, gold):
     return order.index(gold) + 1
 
 
+def _dot(a, b):
+    return sum(float(x) * float(y) for x, y in zip(a, b))
+
+
+def neutralize(vector, direction):
+    """Remove the direction component and renormalize, one float at a time."""
+    proj = _dot(vector, direction)
+    residual = [float(x) - proj * float(d) for x, d in zip(vector, direction)]
+    norm = math.sqrt(sum(x * x for x in residual))
+    return [x / norm for x in residual]
+
+
+def shift_pair(vec_m, vec_f, direction, anchor=0.0):
+    """Move both vectors along the direction by the same amount so their
+    projections sum to 2 * anchor."""
+    delta = (_dot(vec_m, direction) + _dot(vec_f, direction) - 2.0 * anchor) / 2.0
+    return ([float(x) - delta * float(d) for x, d in zip(vec_m, direction)],
+            [float(x) - delta * float(d) for x, d in zip(vec_f, direction)])
+
+
+def shift_then_neutralize(vectors, pairs, anchors, inanimate, direction):
+    """Sequential reference for the shift step: shift each listed pair in
+    turn about anchors[pair], neutralize each listed inanimate noun that is
+    not a pair form, then measure each pair's residual on the result.
+
+    Returns (new {word: vector}, {pair: residual}, distinct words changed)."""
+    out = {w: [float(x) for x in v] for w, v in vectors.items()}
+    forms = set()
+    for m, f in pairs:
+        out[m], out[f] = shift_pair(out[m], out[f], direction, anchors[(m, f)])
+        forms.update((m, f))
+    nouns = set()
+    for w in inanimate:
+        if w not in forms:
+            out[w] = neutralize(out[w], direction)
+            nouns.add(w)
+    residual = {(m, f): abs(_dot(out[m], direction) + _dot(out[f], direction)
+                            - 2.0 * anchors[(m, f)]) for m, f in pairs}
+    return out, residual, len(forms) + len(nouns)
+
+
 def pca_top_component_eigh(diffs):
     """Dense-eigensolver oracle for the mean-centered difference PCA."""
     diffs = np.asarray(diffs, dtype=np.float64)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import gendebias.cli
-from gendebias import lexicon_to_json_dict, save_text_embeddings
+from gendebias import (EnglishDebiasConfig, GenderLexicon, lexicon_to_json_dict,
+                       save_text_embeddings)
 from gendebias.cli import main
 
 # The flags each subcommand reads, and so the only ones it accepts.
@@ -179,6 +180,28 @@ class TestZeroVectors:
         assert not (tmp_path / "a.json").exists()
 
 
+    def test_mitigate_names_a_zero_english_row(self, cli_files, fixture_aligned,
+                                               tmp_path, capsys):
+        cfg = EnglishDebiasConfig.from_lexicon(fixture_aligned.english_lexicon)
+        space = fixture_aligned.english
+        word = next(w for w in space.words if w not in cfg.gender_specific)
+        matrix = np.array(space.matrix)
+        matrix[space.index(word)] = 0.0
+        path = tmp_path / "en_zero.vec"
+        save_text_embeddings(space.with_matrix(matrix), path)
+        code = main(["mitigate", "--method", "hybrid_ori",
+                     "--embeddings", str(cli_files["src"]),
+                     "--embeddings-en", str(path),
+                     "--lexicon", str(cli_files["lex"]),
+                     "--lexicon-en", str(cli_files["lex_en"]),
+                     "--seed-dict", str(cli_files["seed"]),
+                     "--out", str(tmp_path / "m")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: zero vector for {word!r}" in err
+        assert "Traceback" not in err
+
+
 class TestDirections:
     def test_monolingual(self, cli_files, tmp_path, capsys):
         out = tmp_path / "dirs.json"
@@ -273,6 +296,27 @@ class TestMitigate:
         payload = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
         assert payload["outcome"]["words_touched"] == 0
         assert payload["outcome"]["seed_pairs"] > 0
+
+    def test_form_shared_by_two_pairs_exits_one(self, cli_files, fixture_aligned,
+                                                tmp_path, capsys):
+        lex = fixture_aligned.lexicon
+        first, second = lex.occupation_pairs[:2]
+        shared = GenderLexicon(
+            definitional_pairs=lex.definitional_pairs,
+            grammatical_masculine=lex.grammatical_masculine,
+            grammatical_feminine=lex.grammatical_feminine,
+            occupation_pairs=[first.words, (first.masculine, second.feminine)],
+            attributes_male=lex.attributes_male,
+            attributes_female=lex.attributes_female)
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(lexicon_to_json_dict(shared)), encoding="utf-8")
+        code = main(["mitigate", "--embeddings", str(cli_files["src"]),
+                     "--lexicon", str(path), "--method", "shift_ori",
+                     "--out", str(tmp_path / "m")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: form {first.masculine!r} is shared by occupation pairs" in err
+        assert "Traceback" not in err
 
     def test_hybrid_rerun_is_byte_identical(self, cli_files, tmp_path):
         argv = ["mitigate", "--embeddings", str(cli_files["src"]),

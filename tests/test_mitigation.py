@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +32,7 @@ from gendebias import (
     shift_pair,
     unit_normalize,
 )
-from gendebias.mitigation import METHODS
+from gendebias.mitigation import METHODS, _shift_outcome
 
 
 def occupation_query(lexicon):
@@ -43,6 +45,35 @@ def random_orthogonal(dim, seed):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+TOY_LEXICON = dict(definitional_pairs=[("dm1", "df1"), ("dm2", "df2")],
+                   grammatical_masculine=["gm1", "gm2"],
+                   grammatical_feminine=["gf1", "gf2"],
+                   attributes_male=["dm1"], attributes_female=["df1"])
+
+
+def toy_space():
+    """13 words in dim 6: definitional pairs on axis 1, grammatical words on
+    axis 0, and the occupation forms "m" (+0.5 on axis 1), "f" (-0.1), "f2"."""
+    rng = np.random.default_rng(0)
+    words = ["m", "f", "a", "b", "dm1", "df1", "dm2", "df2",
+             "gm1", "gm2", "gf1", "gf2", "f2"]
+    mat = rng.standard_normal((len(words), 6)) * 0.2
+    mat[0, 1] = 0.5
+    mat[1, 1] = -0.1
+    mat[4:6, 1] = (-0.4, 0.4)
+    mat[6:8, 1] = (-0.5, 0.5)
+    mat[8:10, 0] = -0.4
+    mat[10:12, 0] = 0.4
+    return EmbeddingSpace(words, mat)
+
+
+def toy_shift_ori(space=None, **lexicon):
+    space = toy_space() if space is None else space
+    lex = GenderLexicon(**TOY_LEXICON, **lexicon)
+    dirs = build_directions(toy_space(), lex, cv_folds=None)
+    return mitigate_shift_ori(space, lex, dirs), dirs
 
 
 class TestPrimitives:
@@ -60,6 +91,12 @@ class TestPrimitives:
         d[0] = 1.0
         with pytest.raises(ValueError, match="parallel"):
             neutralize(3.0 * d, d)
+
+    def test_neutralize_zero_vector_rejected(self):
+        d = np.zeros(4)
+        d[0] = 1.0
+        with pytest.raises(ValueError, match="^zero vector$"):
+            neutralize(np.zeros(4), d)
 
     def test_shift_pair_symmetric_about_anchor(self, rng):
         d = rng.standard_normal(6)
@@ -176,32 +213,47 @@ class TestShiftOri:
     def test_occupation_word_is_shifted_not_neutralized(self):
         # a pair member doubling as an inanimate noun must keep its shifted
         # projection rather than being zeroed afterwards
-        rng = np.random.default_rng(0)
-        d = np.zeros(6)
-        d[1] = 1.0
-        words = ["m", "f", "a", "b", "dm1", "df1", "dm2", "df2",
-                 "gm1", "gm2", "gf1", "gf2"]
-        mat = rng.standard_normal((len(words), 6)) * 0.2
-        mat[0, 1] = 0.5   # masculine form, semantic projection +0.5
-        mat[1, 1] = -0.1  # feminine form, -0.1
-        mat[4:6, 1] = (-0.4, 0.4)
-        mat[6:8, 1] = (-0.5, 0.5)
-        mat[8:10, 0] = -0.4
-        mat[10:12, 0] = 0.4
-        space = EmbeddingSpace(words, mat)
-        lex = GenderLexicon(definitional_pairs=[("dm1", "df1"), ("dm2", "df2")],
-                            grammatical_masculine=["gm1", "gm2"],
-                            grammatical_feminine=["gf1", "gf2"],
-                            occupation_pairs=[("m", "f")],
-                            inanimate_nouns=["m", "a"],
-                            attributes_male=["dm1"], attributes_female=["df1"])
-        dirs = build_directions(space, lex, cv_folds=None)
-        out = mitigate_shift_ori(space, lex, dirs)
+        out, dirs = toy_shift_ori(occupation_pairs=[("m", "f")],
+                                  inanimate_nouns=["m", "a"])
         proj_m = float(out.space.vector("m") @ dirs.d_s)
         proj_f = float(out.space.vector("f") @ dirs.d_s)
         assert abs(proj_m + proj_f) < 1e-12  # shifted symmetric
         assert abs(proj_m) > 0.01            # not neutralized
         assert abs(float(out.space.vector("a") @ dirs.d_s)) < 1e-9
+        assert out.words_touched == 3
+
+    def test_form_shared_by_two_pairs_rejected(self):
+        # shifting ("m", "f2") after ("m", "f") moves "m" again, so the
+        # first pair cannot stay symmetric
+        with pytest.raises(ValueError, match=r"form 'm' is shared by occupation "
+                                             r"pairs \('m', 'f'\) and \('m', 'f2'\)"):
+            toy_shift_ori(occupation_pairs=[("m", "f"), ("m", "f2")],
+                          inanimate_nouns=["a"])
+        with pytest.raises(ValueError, match="form 'f' is shared"):
+            toy_shift_ori(occupation_pairs=[("m", "f"), ("f", "f2")])
+
+    def test_repeated_pair_shifted_once(self):
+        once, _ = toy_shift_ori(occupation_pairs=[("m", "f")],
+                                inanimate_nouns=["a"])
+        twice, _ = toy_shift_ori(occupation_pairs=[("m", "f"), ("m", "f")],
+                                 inanimate_nouns=["a"])
+        assert np.array_equal(twice.space.matrix, once.space.matrix)
+        assert twice.residual == once.residual
+        assert twice.words_touched == once.words_touched == 3
+
+    def test_words_touched_counts_distinct_rows(self):
+        out, _ = toy_shift_ori(occupation_pairs=[("m", "f")],
+                               inanimate_nouns=["a", "b", "a"])
+        assert out.words_touched == 4
+
+    def test_zero_inanimate_noun_named(self):
+        space = toy_space()
+        matrix = np.array(space.matrix)
+        matrix[space.index("b")] = 0.0
+        with pytest.raises(ValueError, match="^zero vector for 'b'$"):
+            toy_shift_ori(space.with_matrix(matrix),
+                          occupation_pairs=[("m", "f")],
+                          inanimate_nouns=["a", "b"])
 
     def test_nothing_to_mitigate_is_an_error(self, fixture_aligned):
         lex = fixture_aligned.lexicon
@@ -213,6 +265,42 @@ class TestShiftOri:
         dirs = build_directions(fixture_aligned.source, lex)
         with pytest.raises(ValueError, match="nothing to mitigate"):
             mitigate_shift_ori(fixture_aligned.source, empty, dirs)
+
+
+class TestShiftKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_pairs=st.integers(0, 4), n_other=st.integers(1, 5),
+           dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_oracle(self, data, n_pairs, n_other, dim, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(f"m{i}", f"f{i}") for i in range(n_pairs)]
+        words = [w for p in pairs for w in p] + [f"o{i}" for i in range(n_other)]
+        # listings may repeat a pair and overlap pair forms with nouns
+        listed = data.draw(st.lists(st.sampled_from(pairs), max_size=6)
+                           if pairs else st.just([]))
+        inanimate = data.draw(st.lists(st.sampled_from(words), max_size=8))
+        assume(listed or inanimate)
+        listed_pairs = list(dict.fromkeys(listed))
+        matrix = rng.standard_normal((len(words), dim))
+        d = rng.standard_normal(dim)
+        d /= np.linalg.norm(d)
+        anchors = {p: float(rng.uniform(-1.0, 1.0)) for p in listed_pairs}
+        space = EmbeddingSpace(words, matrix)
+        lex = GenderLexicon(occupation_pairs=listed, inanimate_nouns=inanimate)
+        out = _shift_outcome("t", space, lex, SimpleNamespace(d_s=d), anchors)
+        want, residual, touched = oracles.shift_then_neutralize(
+            dict(zip(words, matrix)), listed, anchors, inanimate, d)
+        for w in words:
+            scale = 1.0 + np.abs(matrix[space.index(w)]).sum()
+            got = out.space.vector(w)
+            assert np.max(np.abs(got - want[w])) <= 1e-12 * scale, w
+        assert list(out.residual) == listed_pairs
+        for p in listed_pairs:
+            assert abs(out.residual[p] - residual[p]) <= 1e-12
+        assert out.words_touched == touched
+        changed = set(inanimate).union(*listed_pairs)
+        for w in set(words) - changed:
+            assert np.array_equal(out.space.vector(w), space.vector(w)), w
 
 
 class TestShiftEn:
@@ -344,8 +432,18 @@ class TestHardDebias:
         free = [w for w in out.words if w not in exempt]
         assert free
         for w in free:
-            want = neutralize(normalized.vector(w), d_en)
+            want = oracles.neutralize(normalized.vector(w), d_en)
             assert np.max(np.abs(out.vector(w) - want)) <= 1e-12, w
+
+    def test_zero_row_rejected_by_name(self, fixture_aligned):
+        cfg = EnglishDebiasConfig.from_lexicon(fixture_aligned.english_lexicon)
+        space = fixture_aligned.english
+        word = next(w for w in space.words if w not in cfg.gender_specific)
+        matrix = np.array(space.matrix)
+        matrix[space.index(word)] = 0.0
+        with pytest.raises(ValueError, match=f"^zero vector for {word!r}$"):
+            hard_debias_english(space.with_matrix(matrix), cfg.definitional_pairs,
+                                cfg.equalize_pairs, cfg.gender_specific)
 
     def test_parallel_word_rejected_by_name(self):
         rng = np.random.default_rng(2)
