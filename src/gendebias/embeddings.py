@@ -16,6 +16,10 @@ logger = logging.getLogger(__name__)
 # Tolerance for the unit-norm check on spaces declared normalized.
 NORM_TOL = 1e-6
 
+# Rows per partition copy where a score block must survive the partition:
+# the copy stays a few rows, whatever the block's height.
+_PARTITION_ROWS = 16
+
 # numpy's message for a field np.loadtxt cannot convert; ``row`` counts the
 # lines fed to it from 0.
 _LOADTXT_ERROR = re.compile(
@@ -312,6 +316,12 @@ def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _row_blocks(n: int):
+    """Slices of at most _PARTITION_ROWS rows that cover ``range(n)`` in order."""
+    return (slice(start, start + _PARTITION_ROWS)
+            for start in range(0, n, _PARTITION_ROWS))
+
+
 def _top_rows(scores: np.ndarray, lex_rank: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the ``k`` best scores of each row, best first, equal
     scores in ascending ``lex_rank`` order, as a full per-row lexsort on
@@ -319,7 +329,9 @@ def _top_rows(scores: np.ndarray, lex_rank: np.ndarray, k: int) -> np.ndarray:
     row's k-th best value (every tie with it included) are sorted."""
     n, m = scores.shape
     k = min(k, m)
-    kth = np.partition(scores, m - k, axis=1)[:, m - k]
+    kth = np.empty(n)
+    for rows in _row_blocks(n):
+        kth[rows] = np.partition(scores[rows], m - k, axis=1)[:, m - k]
     rows, cols = np.nonzero(scores >= kth[:, None])
     order = np.lexsort((lex_rank[cols], -scores[rows, cols], rows))
     first = np.searchsorted(rows, np.arange(n))

@@ -4,7 +4,10 @@ gendered translation-by-analogy, and projection exports."""
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
+import os
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -14,7 +17,7 @@ from scipy import stats
 
 from .directions import GenderDirections
 from .embeddings import (BilingualSpace, EmbeddingSpace, _cosine_scores,
-                         _top_rows, cosine)
+                         _row_blocks, _top_rows, cosine)
 from .lexicon import AnalogyQuery, BilingualDictionary, OccupationPair
 
 logger = logging.getLogger(__name__)
@@ -22,7 +25,8 @@ logger = logging.getLogger(__name__)
 MIN_SIMILARITY_ROWS = 5
 CSLS_NEIGHBORHOOD = 10
 # Query rows scored per matrix product: bounds retrieval memory to this many
-# rows times the searched vocabulary.
+# rows times the searched vocabulary.  BLAS may round a product of another
+# height differently, so results hold their bits only while this stays fixed.
 _SCORE_CHUNK = 1024
 
 
@@ -78,11 +82,45 @@ def word_similarity_eval(space: EmbeddingSpace,
                       coverage=len(model) / len(dataset))
 
 
+def _chunk_threads() -> int:
+    """Threads scoring chunks at once: two where two CPUs are usable.  Each
+    chunk in flight holds one score block, so two chunks fit where one chunk
+    with a partition copy used to; more would raise the memory bound."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _map_chunks(fn, n: int) -> list:
+    """``fn(rows)`` for the slice of each _SCORE_CHUNK-row chunk of
+    ``range(n)``, results in chunk order.  Chunks run on _chunk_threads()
+    threads (numpy releases the GIL in products and partitions); every
+    chunk is the same product as in a serial run, so results are
+    bit-identical.  The first failing chunk's exception, MemoryError
+    included, is raised once the running chunks have ended; chunks not yet
+    started are cancelled."""
+    chunks = [slice(start, start + _SCORE_CHUNK) for start in range(0, n, _SCORE_CHUNK)]
+    threads = min(_chunk_threads(), len(chunks))
+    if threads < 2:
+        return [fn(rows) for rows in chunks]
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="gendebias-chunk")
+    try:
+        futures = [pool.submit(fn, rows) for rows in chunks]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
+
+
 def _mean_topk(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise mean of the k largest finite entries (-inf, a zero vector's
-    score, is no neighbor); 0 for a row without any."""
+    score, is no neighbor); 0 for a row without any.  Partitions ``scores``
+    in place."""
     k = min(k, scores.shape[1])
-    top = np.partition(scores, scores.shape[1] - k, axis=1)[:, -k:]
+    scores.partition(scores.shape[1] - k, axis=1)
+    top = scores[:, -k:]
     finite = np.isfinite(top)
     return np.where(finite, top, 0.0).sum(axis=1) / np.maximum(finite.sum(axis=1), 1)
 
@@ -93,10 +131,14 @@ def _csls_adjustment(bi: BilingualSpace) -> np.ndarray:
     zero target vector."""
     r_tgt = np.zeros(len(bi.target))
     live = np.flatnonzero(bi.target.row_norms() > 0.0)
-    for start in range(0, live.size, _SCORE_CHUNK):
-        rows = live[start:start + _SCORE_CHUNK]
+    bi.source.row_norms()  # fill the cache before chunk threads read it
+
+    def adjust(chunk: slice) -> None:
+        rows = live[chunk]
         r_tgt[rows] = _mean_topk(_cosine_scores(bi.source, bi.target.matrix[rows]),
                                  CSLS_NEIGHBORHOOD)
+
+    _map_chunks(adjust, live.size)
     return r_tgt
 
 
@@ -132,14 +174,23 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
     if np.any(bi.source.row_norms()[queries] == 0.0):
         raise ValueError("zero vector among query words")
     r_tgt = _csls_adjustment(bi) if csls else None
-    top = []
-    for start in range(0, len(entries), _SCORE_CHUNK):
-        rows = bi.source.matrix[queries[start:start + _SCORE_CHUNK]]
-        scores = _cosine_scores(bi.target, rows)
+    lex_rank = bi.target.lex_rank()
+    bi.target.row_norms()  # fill the cache before chunk threads read it
+
+    def retrieve(chunk: slice) -> np.ndarray:
+        scores = _cosine_scores(bi.target, bi.source.matrix[queries[chunk]])
         if csls:
-            scores = (2.0 * scores - _mean_topk(scores, CSLS_NEIGHBORHOOD)[:, None]
-                      - r_tgt)
-        top.extend(_top_rows(scores, bi.target.lex_rank(), kmax))
+            # 2 * scores - r_src - r_tgt, in place; r_src partitions copies of
+            # a few rows, so the chunk holds one score block
+            r_src = np.empty(len(scores))
+            for rows in _row_blocks(len(scores)):
+                r_src[rows] = _mean_topk(scores[rows].copy(), CSLS_NEIGHBORHOOD)
+            scores *= 2.0
+            scores -= r_src[:, None]
+            scores -= r_tgt
+        return _top_rows(scores, lex_rank, kmax)
+
+    top = itertools.chain.from_iterable(_map_chunks(retrieve, len(entries)))
     details = []
     for (word, golds), row in zip(entries, top):
         retrieved = tuple(bi.target.words[j] for j in row)
@@ -203,10 +254,11 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
     resolved = [q for q, ok in zip(resolved, live) if ok]
     targets = targets[live]
     skipped = len(queries) - len(resolved)
-    rr: dict[str, list[float]] = {"masculine": [], "feminine": []}
-    for start in range(0, len(resolved), _SCORE_CHUNK):
-        chunk = resolved[start:start + _SCORE_CHUNK]
-        scores = _cosine_scores(src, targets[start:start + _SCORE_CHUNK])
+    src.row_norms()  # fill the cache before chunk threads read it
+
+    def ranks_of(rows: slice) -> np.ndarray:
+        chunk = resolved[rows]
+        scores = _cosine_scores(src, targets[rows])
         mask = np.repeat(base_mask[None, :], len(chunk), axis=0)
         for row, q in enumerate(chunk):
             for w in (q.source_context, q.english_context, q.english_target):
@@ -214,8 +266,12 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
                     mask[row, src.index(w)] = False
         gold_idx = src.indices([q.gold for q in chunk])
         mask[np.arange(len(chunk)), gold_idx] = True  # the gold is always a candidate
-        for q, rank in zip(chunk, _rank_of(scores, gold_idx, mask, lex_rank)):
-            rr[q.gold_gender].append(1.0 / rank)
+        return _rank_of(scores, gold_idx, mask, lex_rank)
+
+    rr: dict[str, list[float]] = {"masculine": [], "feminine": []}
+    ranks = itertools.chain.from_iterable(_map_chunks(ranks_of, len(resolved)))
+    for q, rank in zip(resolved, ranks):
+        rr[q.gold_gender].append(1.0 / rank)
     n_resolved = len(rr["masculine"]) + len(rr["feminine"])
     if n_resolved == 0:
         raise ValueError("no analogy query could be resolved against the spaces")

@@ -181,7 +181,7 @@ def mitigate_shift_ori(space: EmbeddingSpace, lexicon: GenderLexicon,
 
 def _english_anchors(bi: BilingualSpace, lexicon: GenderLexicon,
                      d_s: np.ndarray) -> dict[tuple[str, str], float]:
-    anchors = {}
+    english: dict[tuple[str, str], str] = {}
     for pair in lexicon.occupation_pairs:
         if pair.english is None:
             raise ValueError(f"occupation pair {pair.words!r} has no English "
@@ -189,8 +189,11 @@ def _english_anchors(bi: BilingualSpace, lexicon: GenderLexicon,
         if pair.english not in bi.target:
             raise ValueError(f"English anchor {pair.english!r} for pair "
                              f"{pair.words!r} is not in the English space")
-        anchors[pair.words] = float(bi.target.vector(pair.english) @ d_s)
-    return anchors
+        listed = english.setdefault(pair.words, pair.english)
+        if listed != pair.english:
+            raise ValueError(f"occupation pair {pair.words!r} is listed with "
+                             f"English anchors {listed!r} and {pair.english!r}")
+    return {words: float(bi.target.vector(en) @ d_s) for words, en in english.items()}
 
 
 def mitigate_shift_en(bi: BilingualSpace, lexicon: GenderLexicon,

@@ -1,10 +1,14 @@
+import dataclasses
+import itertools
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
 
 import gendebias.cli
+import gendebias.evaluation
 from gendebias import (EnglishDebiasConfig, GenderLexicon, lexicon_to_json_dict,
                        save_text_embeddings)
 from gendebias.cli import main
@@ -140,6 +144,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: out of memory: Unable to allocate 18.7 GiB" in err
         assert "Traceback" not in err
+
+
+    def test_out_of_memory_in_a_chunk_thread_exits_one(self, cli_files, tmp_path,
+                                                       capsys, monkeypatch):
+        monkeypatch.setattr(gendebias.evaluation, "_SCORE_CHUNK", 3)
+        monkeypatch.setattr(gendebias.evaluation, "_chunk_threads", lambda: 2)
+        cosine_scores = gendebias.evaluation._cosine_scores
+        calls = itertools.count(1)
+        lock = threading.Lock()
+
+        def exhausted_once(space, queries):
+            with lock:
+                call = next(calls)
+            if call == 2:
+                raise MemoryError("Unable to allocate 18.7 GiB")
+            return cosine_scores(space, queries)
+
+        monkeypatch.setattr(gendebias.evaluation, "_cosine_scores", exhausted_once)
+        code = main(["eval-translation", "--embeddings", str(cli_files["src"]),
+                     "--embeddings-en", str(cli_files["en"]),
+                     "--dict", str(cli_files["seed"]),
+                     "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: out of memory: Unable to allocate 18.7 GiB" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestZeroVectors:
@@ -317,6 +348,28 @@ class TestMitigate:
         err = capsys.readouterr().err
         assert f"error: form {first.masculine!r} is shared by occupation pairs" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["shift_en", "hybrid_en"])
+    def test_conflicting_english_anchors_exit_one(self, cli_files, fixture_aligned,
+                                                  tmp_path, capsys, method):
+        lex = fixture_aligned.lexicon
+        first, second = lex.occupation_pairs[:2]
+        twice = dataclasses.replace(lex, occupation_pairs=(
+            *lex.occupation_pairs, (first.masculine, first.feminine, second.english)))
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(lexicon_to_json_dict(twice)), encoding="utf-8")
+        code = main(["mitigate", "--embeddings", str(cli_files["src"]),
+                     "--embeddings-en", str(cli_files["en"]),
+                     "--lexicon", str(path),
+                     "--lexicon-en", str(cli_files["lex_en"]),
+                     "--seed-dict", str(cli_files["seed"]),
+                     "--method", method, "--out", str(tmp_path / "m")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"error: occupation pair {first.words!r} is listed with English "
+                f"anchors {first.english!r} and {second.english!r}") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m" / "outcome.json").exists()
 
     def test_hybrid_rerun_is_byte_identical(self, cli_files, tmp_path):
         argv = ["mitigate", "--embeddings", str(cli_files["src"]),

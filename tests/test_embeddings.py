@@ -4,6 +4,7 @@ import string
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gendebias import (
     top_k,
     unit_normalize,
 )
+from gendebias import embeddings
 from gendebias.embeddings import _top_rows
 
 
@@ -192,7 +194,9 @@ class TestTopK:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_top_rows_matches_per_row_lexsort(self, data):
-        n_rows = data.draw(st.integers(1, 4))
+        # rows are partitioned a block at a time: cross block boundaries
+        block = data.draw(st.integers(1, 3))
+        n_rows = data.draw(st.integers(1, 8))
         width = data.draw(st.integers(1, 12))
         k = data.draw(st.integers(1, width + 3))
         # quantized scores force ties; -inf is what a zero row scores
@@ -202,7 +206,8 @@ class TestTopK:
                                st.floats(-1.0, 1.0))))
         lex_rank = np.array(data.draw(st.permutations(range(width))), dtype=np.intp)
         want = np.array([np.lexsort((lex_rank, -row))[:k] for row in scores])
-        assert np.array_equal(_top_rows(scores, lex_rank, k), want)
+        with mock.patch.object(embeddings, "_PARTITION_ROWS", block):
+            assert np.array_equal(_top_rows(scores, lex_rank, k), want)
 
 
 class TestTextFormat:

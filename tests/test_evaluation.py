@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -424,6 +426,108 @@ class TestPairTranslation:
         assert rep.coverage == 9 / 11
         assert rep.metrics["m_mrr"] == np.mean(one_by_one["masculine"])
         assert rep.metrics["f_mrr"] == np.mean(one_by_one["feminine"])
+
+
+def tied_pair(seed=21):
+    """Bilingual space with rounded components, a duplicated target row
+    (exact score ties) and a zero row on each side, its dictionary, and 11
+    analogy queries over it."""
+    rng = np.random.default_rng(seed)
+    src = np.round(rng.standard_normal((30, 5)), 1)
+    tgt = np.round(src + 0.3 * rng.standard_normal(src.shape), 1)
+    tgt[1] = tgt[0]
+    src_words = [f"s{i:02d}" for i in range(30)]
+    tgt_words = [f"t{i:02d}" for i in range(30)]
+    bi = BilingualSpace(
+        with_zero_word(EmbeddingSpace(src_words, src), "s_null"),
+        with_zero_word(EmbeddingSpace(tgt_words, tgt, language_tag="en"), "t_null"))
+    dictionary = BilingualDictionary(
+        [(s, t) for s, t in zip(src_words, tgt_words)] + [("s05", "t00")])
+    queries = [AnalogyQuery(english_context=tgt_words[rng.integers(30)],
+                            english_target=tgt_words[rng.integers(30)],
+                            source_context=src_words[rng.integers(30)],
+                            gold=src_words[rng.integers(30)],
+                            gold_gender=("masculine", "feminine")[i % 2])
+               for i in range(11)]
+    return bi, dictionary, queries
+
+
+def threads(monkeypatch, n):
+    monkeypatch.setattr(evaluation, "_chunk_threads", lambda: n)
+
+
+class TestChunkThreads:
+    """Retrieval chunks scored on two threads give the serial results."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 3)
+
+    @pytest.fixture()
+    def fast_switching(self):
+        # switch threads as often as possible, so a chunk that read another
+        # chunk's state would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("csls", [False, True])
+    def test_two_threads_match_one(self, monkeypatch, fast_switching, csls):
+        bi, dictionary, _ = tied_pair()
+        threads(monkeypatch, 1)
+        want = word_translation_eval(bi, dictionary, ks=(1, 3, 31), csls=csls)
+        threads(monkeypatch, 2)
+        got = word_translation_eval(bi, dictionary, ks=(1, 3, 31), csls=csls)
+        assert got.metrics == want.metrics
+        assert got.details == want.details
+
+    def test_two_threads_match_one_for_csls_adjustment_and_pairs(
+            self, monkeypatch, fast_switching):
+        bi, _, queries = tied_pair()
+        threads(monkeypatch, 1)
+        want_adjustment = evaluation._csls_adjustment(bi)
+        want_pairs = pair_translation_eval(bi, queries)
+        threads(monkeypatch, 2)
+        assert evaluation._csls_adjustment(bi).tobytes() == want_adjustment.tobytes()
+        assert pair_translation_eval(bi, queries).metrics == want_pairs.metrics
+
+    def test_chunks_run_on_helpers_that_end_with_the_call(self, monkeypatch):
+        bi, dictionary, _ = tied_pair()
+        threads(monkeypatch, 2)
+        scored_on = set()
+        cosine_scores = evaluation._cosine_scores
+
+        def recording(space, queries):
+            scored_on.add(threading.current_thread())
+            return cosine_scores(space, queries)
+
+        monkeypatch.setattr(evaluation, "_cosine_scores", recording)
+        before = set(threading.enumerate())
+        word_translation_eval(bi, dictionary, csls=True)
+        assert scored_on and threading.main_thread() not in scored_on
+        assert set(threading.enumerate()) == before
+        assert not any(t.is_alive() for t in scored_on)
+
+    def test_memory_error_in_second_chunk_reaches_caller(self, monkeypatch):
+        bi, dictionary, _ = tied_pair()
+        threads(monkeypatch, 2)
+        second = bi.source.matrix[bi.source.indices(
+            [word for word, _ in dictionary.items()][3:6])]
+        cosine_scores = evaluation._cosine_scores
+
+        def exhausted(space, queries):
+            if np.array_equal(queries, second):
+                raise MemoryError("Unable to allocate 18.7 GiB")
+            return cosine_scores(space, queries)
+
+        monkeypatch.setattr(evaluation, "_cosine_scores", exhausted)
+        before = set(threading.enumerate())
+        with pytest.raises(MemoryError, match="18.7 GiB"):
+            word_translation_eval(bi, dictionary)
+        assert set(threading.enumerate()) == before
 
 
 class TestProjectionExport:

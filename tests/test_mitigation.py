@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,6 +359,32 @@ class TestShiftEn:
             fixture_aligned.english_lexicon.definitional_pairs)
         with pytest.raises(ValueError, match="no_such_word"):
             mitigate_shift_en(fixture_aligned.bilingual, renamed, dirs)
+
+    def test_conflicting_english_anchors_rejected(self, shift_en_outcome,
+                                                  fixture_aligned):
+        # the same pair with two English words has no single anchor to be
+        # symmetric about
+        _, dirs = shift_en_outcome
+        lex = fixture_aligned.lexicon
+        first, second = lex.occupation_pairs[:2]
+        twice = dataclasses.replace(lex, occupation_pairs=(
+            first, (first.masculine, first.feminine, second.english),
+            *lex.occupation_pairs[1:]))
+        with pytest.raises(ValueError, match=(
+                rf"^occupation pair \('{first.masculine}', '{first.feminine}'\) is "
+                rf"listed with English anchors '{first.english}' and "
+                rf"'{second.english}'$")):
+            mitigate_shift_en(fixture_aligned.bilingual, twice, dirs)
+
+    def test_repeated_english_listing_accepted(self, shift_en_outcome,
+                                               fixture_aligned):
+        out, dirs = shift_en_outcome
+        lex = fixture_aligned.lexicon
+        repeated = dataclasses.replace(
+            lex, occupation_pairs=lex.occupation_pairs + lex.occupation_pairs[:1])
+        again = mitigate_shift_en(fixture_aligned.bilingual, repeated, dirs)
+        assert again.anchors_used == out.anchors_used
+        assert np.array_equal(again.source_space.matrix, out.source_space.matrix)
 
 
 class TestEnglishDebiasConfig:
