@@ -257,16 +257,21 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
     src.row_norms()  # fill the cache before chunk threads read it
 
     def ranks_of(rows: slice) -> np.ndarray:
-        chunk = resolved[rows]
         scores = _cosine_scores(src, targets[rows])
-        mask = np.repeat(base_mask[None, :], len(chunk), axis=0)
-        for row, q in enumerate(chunk):
-            for w in (q.source_context, q.english_context, q.english_target):
-                if w in src:
-                    mask[row, src.index(w)] = False
-        gold_idx = src.indices([q.gold for q in chunk])
-        mask[np.arange(len(chunk)), gold_idx] = True  # the gold is always a candidate
-        return _rank_of(scores, gold_idx, mask, lex_rank)
+        ranks = np.empty(len(scores), dtype=np.intp)
+        # masks and comparisons a few rows at a time, so the chunk holds one
+        # score block
+        for block in _row_blocks(len(scores)):
+            chunk = resolved[rows][block]
+            mask = np.repeat(base_mask[None, :], len(chunk), axis=0)
+            for row, q in enumerate(chunk):
+                for w in (q.source_context, q.english_context, q.english_target):
+                    if w in src:
+                        mask[row, src.index(w)] = False
+            gold_idx = src.indices([q.gold for q in chunk])
+            mask[np.arange(len(chunk)), gold_idx] = True  # the gold is always a candidate
+            ranks[block] = _rank_of(scores[block], gold_idx, mask, lex_rank)
+        return ranks
 
     rr: dict[str, list[float]] = {"masculine": [], "feminine": []}
     ranks = itertools.chain.from_iterable(_map_chunks(ranks_of, len(resolved)))

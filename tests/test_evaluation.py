@@ -25,7 +25,7 @@ from gendebias import (
     write_projections_csv,
     write_translation_csv,
 )
-from gendebias import evaluation
+from gendebias import embeddings, evaluation
 from gendebias.evaluation import TranslationDetail, _rank_of
 
 
@@ -421,6 +421,7 @@ class TestPairTranslation:
             rep = pair_translation_eval(bi, [q], restrict_to=restrict_to)
             one_by_one[q.gold_gender].append(rep.metrics[q.gold_gender[0] + "_mrr"])
         monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 3)
+        monkeypatch.setattr(embeddings, "_PARTITION_ROWS", 2)
         rep = pair_translation_eval(bi, queries, restrict_to=restrict_to)
         assert rep.metrics["n_queries"] == 9.0
         assert rep.coverage == 9 / 11
