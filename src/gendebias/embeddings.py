@@ -16,8 +16,9 @@ logger = logging.getLogger(__name__)
 # Tolerance for the unit-norm check on spaces declared normalized.
 NORM_TOL = 1e-6
 
-# Rows per partition copy where a score block must survive the partition:
-# the copy stays a few rows, whatever the block's height.
+# Rows per step where a row-wise operation on a score block needs scratch
+# memory (a partition copy, candidate masks): the scratch stays a few rows,
+# whatever the block's height.
 _PARTITION_ROWS = 16
 
 # numpy's message for a field np.loadtxt cannot convert; ``row`` counts the

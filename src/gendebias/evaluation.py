@@ -84,8 +84,8 @@ def word_similarity_eval(space: EmbeddingSpace,
 
 def _chunk_threads() -> int:
     """Threads scoring chunks at once: two where two CPUs are usable.  Each
-    chunk in flight holds one score block, so two chunks fit where one chunk
-    with a partition copy used to; more would raise the memory bound."""
+    chunk in flight holds one score block, so retrieval memory grows with
+    this count; two keep it within the few blocks the README documents."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform

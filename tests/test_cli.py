@@ -145,7 +145,6 @@ class TestExitCodes:
         assert "error: out of memory: Unable to allocate 18.7 GiB" in err
         assert "Traceback" not in err
 
-
     def test_out_of_memory_in_a_chunk_thread_exits_one(self, cli_files, tmp_path,
                                                        capsys, monkeypatch):
         monkeypatch.setattr(gendebias.evaluation, "_SCORE_CHUNK", 3)
