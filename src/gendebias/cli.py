@@ -8,6 +8,15 @@ accepts only the flags it reads; any other flag is a usage error.
 
 Exit codes: 0 success, 1 validation or usage error (and out of memory,
 reported as ``error: out of memory: ...``), 2 I/O error.
+
+Each ``.vec`` input is parsed once per content: after a parse the CLI
+writes a sidecar ``<input>.gdcache.npz`` beside it, holding the words, the
+float64 matrix and the duplicate count exactly as parsed, keyed by a
+cache-format version, the input's sha256 and ``--max-words``.  A later run
+whose key matches reads the sidecar instead of the text; any other sidecar
+(stale, foreign, unreadable) is ignored and rewritten.  Sidecars are never
+required, never change an output, exit code or message, and are safe to
+delete.  An input that is not a regular file (a pipe) is parsed as given.
 """
 
 from __future__ import annotations
@@ -17,12 +26,17 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .directions import (DEFAULT_RIDGE, bilingual_directions, build_directions)
-from .embeddings import BilingualSpace, load_text_embeddings, save_text_embeddings, unit_normalize
+from .embeddings import (BilingualSpace, EmbeddingSpace, _log_duplicates,
+                         _read_text_embeddings, load_text_embeddings,
+                         save_text_embeddings, unit_normalize)
 from .evaluation import (export_projections, pair_translation_eval,
                          word_similarity_eval, word_translation_eval,
                          write_projections_csv, write_translation_csv)
@@ -37,6 +51,12 @@ from .mitigation import (METHODS, EnglishDebiasConfig, MitigationOutcome,
 logger = logging.getLogger(__name__)
 
 _BILINGUAL_METHODS = ("shift_en", "de_align", "hybrid_ori", "hybrid_en")
+
+# A parsed .vec is kept in <input>.gdcache.npz.  Bump _CACHE_VERSION whenever
+# load_text_embeddings would read some file differently, so that sidecars
+# written before stop matching.
+_CACHE_SUFFIX = ".gdcache.npz"
+_CACHE_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,13 +76,21 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _digest(args, path) -> str:
+    """sha256 of an input file, read once per invocation."""
+    key = Path(path)
+    if key not in args.digests:
+        args.digests[key] = _sha256(path)
+    return args.digests[key]
+
+
 def _config_block(args) -> dict:
     inputs = {}
     for name in ("embeddings", "embeddings_en", "lexicon", "lexicon_en",
                  "dict", "seed_dict", "dataset"):
         path = getattr(args, name, None)
         if path is not None:
-            inputs[name.replace("_", "-")] = _sha256(path)
+            inputs[name.replace("_", "-")] = _digest(args, path)
     block = {
         "subcommand": args.command,
         "tool_version": __version__,
@@ -88,8 +116,68 @@ def _write_json(path, payload: dict) -> None:
         encoding="utf-8")
 
 
-def _load_space(path, max_words):
-    return unit_normalize(load_text_embeddings(path, max_words=max_words))
+def _load_space(args, path):
+    """The unit-normalized space in ``path``: read from the sidecar that
+    matches the file's bytes and ``--max-words``, else parsed."""
+    path = Path(path)
+    if not path.is_file():  # missing, or a pipe that cannot be read twice
+        return unit_normalize(load_text_embeddings(path, max_words=args.max_words))
+    before = path.stat()
+    key = f"gendebias-vec/{_CACHE_VERSION} {_digest(args, path)} {args.max_words}"
+    sidecar = path.with_name(path.name + _CACHE_SUFFIX)
+    cached = _read_sidecar(sidecar, key)
+    if cached is None:
+        space, duplicates = _read_text_embeddings(path, args.max_words)
+        _write_sidecar(path, before, sidecar, key, space, duplicates)
+    else:
+        space, duplicates = cached
+    _log_duplicates(path, duplicates)
+    return unit_normalize(space)
+
+
+def _read_sidecar(sidecar: Path, key: str):
+    """(space, duplicate count) from a sidecar whose key is ``key``, else
+    None.  Whatever is wrong with a sidecar (missing, unreadable, foreign,
+    stale, invalid) makes it a miss, since the parse is always right."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            if npz["key"].item() != key:
+                return None
+            words, matrix, duplicates = npz["words"], npz["matrix"], npz["duplicates"]
+            if (words.dtype != np.uint8 or matrix.dtype != np.float64
+                    or duplicates.dtype != np.int64 or duplicates.shape != ()
+                    or duplicates < 0):
+                return None
+            words = bytes(words).decode("utf-8").split("\n")
+            return EmbeddingSpace(words, matrix), int(duplicates)
+    except Exception as e:
+        logger.debug("%s: sidecar not used: %r", sidecar, e)
+        return None
+
+
+def _write_sidecar(path: Path, before, sidecar: Path, key: str, space,
+                   duplicates: int) -> None:
+    """Write ``sidecar`` unless ``path``'s size or mtime moved since
+    ``before``.  It goes to a temporary file beside it and is then moved
+    into place, so a reader sees the old sidecar or the whole new one.  An
+    OSError skips the sidecar."""
+    try:
+        after = path.stat()
+        if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+            return
+        tmp = path.with_name(f"{path.name}.tmp-{os.urandom(4).hex()}{_CACHE_SUFFIX}")
+        try:
+            with open(tmp, "xb") as fh:
+                words = "\n".join(space.words).encode("utf-8")
+                np.savez(fh, key=np.array(key),
+                         words=np.frombuffer(words, dtype=np.uint8),
+                         matrix=space.matrix,
+                         duplicates=np.array(duplicates, dtype=np.int64))
+            os.replace(tmp, sidecar)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as e:
+        logger.debug("%s: sidecar not written: %s", sidecar, e)
 
 
 def _load_lexicon_for(space, path):
@@ -114,7 +202,7 @@ def _directions_for(args, space, lex):
     if args.embeddings_en is None:
         return build_directions(space, lex, ridge=args.ridge, seed=args.seed)
     _require(args, "lexicon_en")
-    en_space = _load_space(args.embeddings_en, args.max_words)
+    en_space = _load_space(args, args.embeddings_en)
     en_lex = load_lexicon(args.lexicon_en)
     return bilingual_directions(BilingualSpace(space, en_space), lex,
                                 en_lex.definitional_pairs,
@@ -125,7 +213,7 @@ def _directions_for(args, space, lex):
 
 
 def cmd_directions(args):
-    space = _load_space(args.embeddings, args.max_words)
+    space = _load_space(args, args.embeddings)
     lex = _load_lexicon_for(space, args.lexicon)
     dirs = _directions_for(args, space, lex)
     config = _config_block(args)
@@ -136,7 +224,7 @@ def cmd_directions(args):
 
 
 def cmd_audit(args):
-    space = _load_space(args.embeddings, args.max_words)
+    space = _load_space(args, args.embeddings)
     lex = _load_lexicon_for(space, args.lexicon)
     report = audit_bias(lex, space, n_perm=args.n_perm, seed=args.seed)
     scores = {f"{p.word_m}/{p.word_f}": (p.b_signed if args.signed else p.b_unsigned)
@@ -149,7 +237,7 @@ def cmd_audit(args):
 
 
 def cmd_mitigate(args):
-    space = _load_space(args.embeddings, args.max_words)
+    space = _load_space(args, args.embeddings)
     lex = _load_lexicon_for(space, args.lexicon)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -161,7 +249,7 @@ def cmd_mitigate(args):
         outcome = mitigate_shift_ori(space, lex, dirs)
     else:
         _require(args, "embeddings_en", "lexicon_en")
-        en_space = _load_space(args.embeddings_en, args.max_words)
+        en_space = _load_space(args, args.embeddings_en)
         en_lex = load_lexicon(args.lexicon_en)
         en_lex_cov, _ = coverage_filter(en_lex, en_space)
         en_config = EnglishDebiasConfig.from_lexicon(en_lex_cov)
@@ -199,7 +287,7 @@ def cmd_mitigate(args):
 
 
 def cmd_eval_similarity(args):
-    space = _load_space(args.embeddings, args.max_words)
+    space = _load_space(args, args.embeddings)
     dataset = load_similarity_dataset(args.dataset)
     report = word_similarity_eval(space, dataset)
     config = _config_block(args)
@@ -210,8 +298,8 @@ def cmd_eval_similarity(args):
 
 
 def cmd_eval_translation(args):
-    space = _load_space(args.embeddings, args.max_words)
-    en_space = _load_space(args.embeddings_en, args.max_words)
+    space = _load_space(args, args.embeddings)
+    en_space = _load_space(args, args.embeddings_en)
     dictionary = load_bilingual_dictionary(args.dict)
     report = word_translation_eval(BilingualSpace(space, en_space), dictionary,
                                    ks=(1, 5), csls=args.csls)
@@ -226,8 +314,8 @@ def cmd_eval_translation(args):
 
 
 def cmd_eval_pairs(args):
-    space = _load_space(args.embeddings, args.max_words)
-    en_space = _load_space(args.embeddings_en, args.max_words)
+    space = _load_space(args, args.embeddings)
+    en_space = _load_space(args, args.embeddings_en)
     lex = _load_lexicon_for(space, args.lexicon)
     annotated = [p for p in lex.occupation_pairs if p.english is not None]
     if not annotated:
@@ -246,7 +334,7 @@ def cmd_eval_pairs(args):
 
 
 def cmd_export_projections(args):
-    space = _load_space(args.embeddings, args.max_words)
+    space = _load_space(args, args.embeddings)
     lex = _load_lexicon_for(space, args.lexicon)
     dirs = _directions_for(args, space, lex)
     annotated = []
@@ -269,9 +357,9 @@ def cmd_export_projections(args):
 
 
 def cmd_correlate(args):
-    space = _load_space(args.embeddings, args.max_words)
+    space = _load_space(args, args.embeddings)
     lex = _load_lexicon_for(space, args.lexicon)
-    en_space = _load_space(args.embeddings_en, args.max_words)
+    en_space = _load_space(args, args.embeddings_en)
     en_lex_raw = load_lexicon(args.lexicon_en)
     en_lex, _ = coverage_filter(en_lex_raw, en_space)
     if not en_lex.attributes_male or not en_lex.attributes_female:
@@ -385,6 +473,7 @@ def main(argv=None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                             format="%(levelname)s %(name)s: %(message)s")
+    args.digests = {}  # input path -> sha256, filled as inputs are read
     try:
         args.func(args)
     except OSError as e:

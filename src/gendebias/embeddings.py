@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -175,6 +177,40 @@ class BilingualSpace:
         return self.source.dim
 
 
+@contextmanager
+def _open_utf8(path):
+    """``path`` opened for reading as UTF-8.  Invalid UTF-8 met while the
+    block reads it raises ValueError naming the file, line and byte offset."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
+
+
+def _utf8_error(path: Path) -> ValueError:
+    """The error for the first invalid UTF-8 sequence in ``path``, located by
+    decoding the bytes again block by block."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = newlines = 0
+    with path.open("rb") as fh:
+        while True:
+            block = fh.read(1 << 20)
+            # bytes of a character split across blocks, carried into this one
+            pending = len(decoder.getstate()[0])
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as e:
+                line = newlines + e.object.count(b"\n", 0, e.start) + 1
+                return ValueError(f"{path}:{line}: invalid UTF-8 at byte "
+                                  f"{offset - pending + e.start} ({e.reason})")
+            if not block:
+                return ValueError(f"{path}: invalid UTF-8")
+            offset += len(block)
+            newlines += block.count(b"\n")
+
+
 def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
     """Read the plain-text format: header ``<count> <dim>``, then one
     ``word c1 ... c_dim`` line per vector, single-space separated; trailing
@@ -186,10 +222,18 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
     fastText never writes either.  Duplicate words keep the first
     occurrence; the number skipped is logged.  Raises ValueError on a
     malformed header, wrong component count, an empty word, unparsable or
-    non-finite components (naming the path and line), or a body that ends
-    before the header's count (a truncated file) while more words were
-    wanted.
+    non-finite components (naming the path and line), invalid UTF-8 (naming
+    the path, line and byte offset), or a body that ends before the
+    header's count (a truncated file) while more words were wanted.
     """
+    space, duplicates = _read_text_embeddings(path, max_words)
+    _log_duplicates(path, duplicates)
+    return space
+
+
+def _read_text_embeddings(path, max_words: int | None) -> tuple[EmbeddingSpace, int]:
+    """load_text_embeddings without the log line: the space and the number
+    of duplicate words skipped."""
     if max_words is not None and max_words < 1:
         raise ValueError(f"max_words must be positive, got {max_words}")
     path = Path(path)
@@ -220,7 +264,7 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
             linenos.append(lineno)
             yield rest
 
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
@@ -255,10 +299,13 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"{path}:{linenos[row]}: non-finite component for {words[row]!r}")
+    return EmbeddingSpace(words, matrix), duplicates
+
+
+def _log_duplicates(path, duplicates: int) -> None:
     if duplicates:
         logger.warning("%s: skipped %d duplicate words (kept first occurrence)",
-                       path, duplicates)
-    return EmbeddingSpace(words, matrix)
+                       Path(path), duplicates)
 
 
 def save_text_embeddings(space: EmbeddingSpace, path) -> None:
@@ -266,8 +313,13 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     which keeps the load/save round trip within 1e-6 per component.  The
     bytes are those of a per-component ``f"{x:.10g}"``; each row is
     formatted by one ``%`` operation.  Raises ValueError naming the word,
-    before writing anything, if ``%.10g`` would round a component past the
+    before writing anything, if a word holds a space, ``\\n`` or ``\\r`` (the
+    loader would split it) or if ``%.10g`` would round a component past the
     float64 maximum (the loader reads that token as inf)."""
+    bad = next((w for w in space.words if " " in w or "\n" in w or "\r" in w), None)
+    if bad is not None:
+        raise ValueError(f"cannot write {bad!r}: a word in the text format cannot "
+                         "hold a space, '\\n' or '\\r'")
     # the smallest magnitude %.10g spells 1.797693135e+308; its predecessor
     # is still written as 1.797693134e+308
     over = np.abs(space.matrix).max(axis=1) >= 1.7976931345e308

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .embeddings import _open_utf8
+
 logger = logging.getLogger(__name__)
 
 REQUIRED_FIELDS = (
@@ -178,7 +180,7 @@ def lexicon_to_json_dict(lex: GenderLexicon) -> dict:
 def load_lexicon(path) -> GenderLexicon:
     """Load and validate a lexicon JSON file.  List sizes are logged."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as e:
@@ -333,7 +335,7 @@ def load_bilingual_dictionary(path) -> BilingualDictionary:
     """Read one ``source<TAB>target`` entry per line; repeats accumulate."""
     path = Path(path)
     d = BilingualDictionary()
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -364,7 +366,7 @@ def load_similarity_dataset(path) -> list[tuple[str, str, float]]:
     """Read ``word1<TAB>word2<TAB>score`` rows for similarity benchmarks."""
     path = Path(path)
     rows: list[tuple[str, str, float]] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

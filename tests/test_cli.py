@@ -1,8 +1,14 @@
+import argparse
+import collections
 import dataclasses
+import hashlib
 import itertools
 import json
+import logging
+import os
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +16,7 @@ import pytest
 import gendebias.cli
 import gendebias.evaluation
 from gendebias import (EnglishDebiasConfig, GenderLexicon, lexicon_to_json_dict,
-                       save_text_embeddings)
+                       load_text_embeddings, save_text_embeddings, unit_normalize)
 from gendebias.cli import main
 
 # The flags each subcommand reads, and so the only ones it accepts.
@@ -463,3 +469,341 @@ class TestEndToEnd:
         s_pre = json.loads(pre.read_text(encoding="utf-8"))["report"]["statistic"]
         s_post = json.loads(post.read_text(encoding="utf-8"))["report"]["statistic"]
         assert s_post < s_pre
+
+
+class TestDecodeErrors:
+    """Invalid UTF-8 in an input names the file and where, exit 1."""
+
+    def test_vec_cut_inside_a_character(self, cli_files, tmp_path, capsys):
+        # the last row, renamed "caña", is cut after the first byte of "ñ"
+        data = cli_files["src"].read_bytes()
+        last = data.rindex(b"\n", 0, -1) + 1
+        path = tmp_path / "cut.vec"
+        path.write_bytes(data[:last] + "caña".encode("utf-8")[:3])
+        line = data.count(b"\n", 0, last) + 1
+        code = main(["audit", "--embeddings", str(path),
+                     "--lexicon", str(cli_files["lex"]),
+                     "--out", str(tmp_path / "a.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"error: {path}:{line}: invalid UTF-8 at byte {last + 2} "
+                "(unexpected end of data)") in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.gdcache.npz"))
+
+    @pytest.mark.parametrize("flag", ["--dict", "--dataset", "--lexicon"])
+    def test_bad_byte_in_a_word_list(self, cli_files, tmp_path, capsys, flag):
+        src = cli_files["src"]
+        if flag == "--dict":
+            data = b"w0001\tx\nb\xff\ty\n"
+            argv = ["eval-translation", "--embeddings", str(src),
+                    "--embeddings-en", str(cli_files["en"])]
+        elif flag == "--dataset":
+            data = b"a\tb\t1.0\nb\xff\tc\t2.0\n"
+            argv = ["eval-similarity", "--embeddings", str(src)]
+        else:
+            data = b'{\n"definitional_pairs": [["b\xff", "c"]]}\n'
+            argv = ["audit", "--embeddings", str(src)]
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        code = main(argv + [flag, str(path), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        bad = data.index(b"\xff")
+        assert f"error: {path}:2: invalid UTF-8 at byte {bad} (invalid start byte)" in err
+        assert "Traceback" not in err
+
+
+_UNPICKLED: list = []
+
+
+def _trap(tag):
+    """Records that a pickled object array was unpickled."""
+    _UNPICKLED.append(tag)
+    return tag
+
+
+class _Trap:
+    def __reduce__(self):
+        return (_trap, ("unpickled",))
+
+
+class TestSidecar:
+    """The CLI keeps each parsed .vec in <input>.gdcache.npz: a hit reads
+    the same space as a parse, anything else is a miss that rewrites it."""
+
+    @pytest.fixture()
+    def files(self, cli_files, tmp_path):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        paths = {}
+        for key in ("src", "en", "lex", "lex_en", "seed", "sim"):
+            paths[key] = inputs / cli_files[key].name
+            paths[key].write_bytes(cli_files[key].read_bytes())
+        return paths
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Paths the CLI parsed as text, in order."""
+        seen = []
+        parse = gendebias.cli._read_text_embeddings
+
+        def counted(path, max_words):
+            seen.append(Path(path).name)
+            return parse(path, max_words)
+
+        monkeypatch.setattr(gendebias.cli, "_read_text_embeddings", counted)
+        return seen
+
+    @staticmethod
+    def sidecar(path):
+        return path.with_name(path.name + ".gdcache.npz")
+
+    @staticmethod
+    def steps(files, out):
+        pair = ["--embeddings", str(files["src"]), "--embeddings-en", str(files["en"])]
+        return [
+            ["eval-translation", *pair, "--dict", str(files["seed"]),
+             "--out", str(out / "t.json")],
+            ["eval-translation", "--csls", *pair, "--dict", str(files["seed"]),
+             "--out", str(out / "c.json")],
+            ["eval-pairs", *pair, "--lexicon", str(files["lex"]),
+             "--out", str(out / "p.json")],
+            ["audit", "--embeddings", str(files["src"]), "--lexicon",
+             str(files["lex"]), "--n-perm", "200", "--out", str(out / "a.json")],
+            ["mitigate", "--method", "hybrid_ori", *pair,
+             "--lexicon", str(files["lex"]), "--lexicon-en", str(files["lex_en"]),
+             "--seed-dict", str(files["seed"]), "--out", str(out / "m")],
+            ["audit", "--embeddings", str(out / "m" / "source.vec"), "--lexicon",
+             str(files["lex"]), "--n-perm", "200", "--out", str(out / "a2.json")],
+        ]
+
+    @staticmethod
+    def results(out):
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and not p.name.endswith(".gdcache.npz")}
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        assert code == 0, capsys.readouterr().err
+
+    def test_hit_is_bit_identical_to_a_parse(self, tmp_path, parses):
+        path = tmp_path / "odd.vec"
+        rows = ["4 3", "ñandú\t -0.0 5e-324 1e150",
+                "a b 0.1 -2.5E-3 7", "ñandú 9 9 9", "z 0 0 0", "q 1 2 3"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for max_words in (None, 2):
+            want = unit_normalize(load_text_embeddings(path, max_words=max_words))
+            for _ in range(2):
+                args = argparse.Namespace(max_words=max_words, digests={})
+                got = gendebias.cli._load_space(args, path)
+                assert got.words == want.words
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert parses == ["odd.vec", "odd.vec"]   # one miss per --max-words
+
+    def test_results_identical_with_and_without_sidecar(self, files, tmp_path,
+                                                        capsys, parses):
+        runs = []
+        for name in ("cold", "warm"):
+            out = tmp_path / name
+            out.mkdir()
+            for argv in self.steps(files, out):
+                self.run(argv, capsys)
+            runs.append(self.results(out))
+            if name == "cold":
+                assert self.sidecar(files["src"]).is_file()
+                assert self.sidecar(files["en"]).is_file()
+                cold_parses = len(parses)
+        assert runs[0] == runs[1]
+        # the warm run parsed only the freshly mitigated source.vec
+        assert parses[cold_parses:] == ["source.vec"]
+        config = json.loads(runs[1]["m/outcome.json"])["config"]
+        assert config["input_digests"] == {
+            flag: hashlib.sha256(files[key].read_bytes()).hexdigest()
+            for flag, key in (("embeddings", "src"), ("embeddings-en", "en"),
+                              ("lexicon", "lex"), ("lexicon-en", "lex_en"),
+                              ("seed-dict", "seed"))}
+
+    @pytest.mark.parametrize("damage", [
+        "edited input", "other max-words", "truncated", "garbage", "foreign",
+        "object array", "plain npy", "float32 matrix", "row count",
+        "non-finite row", "negative duplicates"])
+    def test_damaged_or_stale_sidecar_is_a_miss(self, files, tmp_path, capsys,
+                                                parses, damage):
+        src, sidecar = files["src"], self.sidecar(files["src"])
+        argv = ["eval-similarity", "--embeddings", str(src),
+                "--dataset", str(files["sim"])]
+        self.run(argv + ["--out", str(tmp_path / "first.json")], capsys)
+        with np.load(sidecar) as npz:
+            good = {k: npz[k] for k in npz.files}
+        damaged = None   # the members of a sidecar with the right key
+        if damage == "edited input":
+            lines = src.read_text(encoding="utf-8").split("\n")
+            word, *values = lines[1].split(" ")
+            lines[1] = " ".join([word, "0.5", *values[1:]])
+            src.write_text("\n".join(lines), encoding="utf-8")
+        elif damage == "other max-words":
+            argv += ["--max-words", "400"]
+        elif damage == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:1000])
+        elif damage == "garbage":
+            sidecar.write_bytes(b"not a sidecar\n")
+        elif damage == "foreign":
+            np.savez(sidecar, something=np.arange(3))
+        elif damage == "object array":
+            damaged = {**good, "words": np.array([_Trap()], dtype=object)}
+        elif damage == "plain npy":
+            with sidecar.open("wb") as fh:
+                np.save(fh, good["matrix"])
+        elif damage == "float32 matrix":
+            damaged = {**good, "matrix": good["matrix"].astype(np.float32)}
+        elif damage == "row count":
+            damaged = {**good, "matrix": good["matrix"][:-1]}
+        elif damage == "non-finite row":
+            damaged = {**good, "matrix": good["matrix"].copy()}
+            damaged["matrix"][3, 0] = np.nan
+        else:
+            damaged = {**good, "duplicates": np.array(-1, dtype=np.int64)}
+        if damaged is not None:
+            with sidecar.open("wb") as fh:
+                np.savez(fh, **damaged)
+        del parses[:]
+        _UNPICKLED.clear()
+        out = tmp_path / "again.json"
+        self.run(argv + ["--out", str(out)], capsys)
+        assert parses == [src.name]
+        assert _UNPICKLED == []
+        # rewritten, and what a hit now reads is the parse
+        max_words = 400 if damage == "other max-words" else None
+        want = unit_normalize(load_text_embeddings(src, max_words=max_words))
+        with np.load(sidecar, allow_pickle=False) as npz:
+            assert npz["matrix"].shape[0] == len(want)
+            if damage not in ("edited input", "other max-words"):
+                assert npz["key"] == good["key"]
+        got = gendebias.cli._load_space(
+            argparse.Namespace(max_words=max_words, digests={}), src)
+        assert parses == [src.name]
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        if damage not in ("edited input", "other max-words"):
+            assert out.read_bytes() == (tmp_path / "first.json").read_bytes()
+
+    @pytest.mark.parametrize("failing", ["create", "fill"])
+    def test_unwritable_directory_writes_no_sidecar(self, files, tmp_path, capsys,
+                                                    caplog, monkeypatch, failing):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(files["src"].parent))
+
+        def refuse_create(file, mode="r", *args, **kwargs):
+            if "x" in mode:
+                refuse()
+            return open(file, mode, *args, **kwargs)
+
+        # root writes into a read-only directory anyway, so the refusal is
+        # also injected where the sidecar is created or filled
+        files["src"].parent.chmod(0o555)
+        if failing == "create":
+            monkeypatch.setattr(gendebias.cli, "open", refuse_create, raising=False)
+        else:
+            monkeypatch.setattr(gendebias.cli.np, "savez", refuse)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="gendebias.cli"):
+                self.run(["eval-similarity", "--embeddings", str(files["src"]),
+                          "--dataset", str(files["sim"]),
+                          "--out", str(tmp_path / "s.json")], capsys)
+        finally:
+            files["src"].parent.chmod(0o755)
+        assert sorted(p.name for p in files["src"].parent.iterdir()) == sorted(
+            p.name for p in files.values())
+        assert any(r.levelno == logging.DEBUG and "sidecar not written" in r.message
+                   for r in caplog.records)
+        assert "sidecar" not in capsys.readouterr().err
+
+    def test_input_changed_during_parse_writes_no_sidecar(self, files, tmp_path,
+                                                          capsys, monkeypatch):
+        parse = gendebias.cli._read_text_embeddings
+
+        def parse_then_touch(path, max_words):
+            result = parse(path, max_words)
+            st = os.stat(path)
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            return result
+
+        monkeypatch.setattr(gendebias.cli, "_read_text_embeddings", parse_then_touch)
+        self.run(["eval-similarity", "--embeddings", str(files["src"]),
+                  "--dataset", str(files["sim"]),
+                  "--out", str(tmp_path / "s.json")], capsys)
+        assert not self.sidecar(files["src"]).exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_parsed_as_given(self, files, tmp_path, capsys, parses):
+        # what `--embeddings <(zcat es.vec.gz)` passes: a pipe that can be
+        # read only once, so it is parsed without hashing it first
+        read_end, write_end = os.pipe()
+        data = files["src"].read_bytes()
+
+        def feed():
+            with open(write_end, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            self.run(["eval-similarity", "--embeddings", f"/dev/fd/{read_end}",
+                      "--dataset", str(files["sim"]),
+                      "--out", str(tmp_path / "pipe.json")], capsys)
+        finally:
+            os.close(read_end)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert parses == []   # no sidecar lookup
+        self.run(["eval-similarity", "--embeddings", str(files["src"]),
+                  "--dataset", str(files["sim"]),
+                  "--out", str(tmp_path / "file.json")], capsys)
+        report = {name: json.loads((tmp_path / name).read_text(encoding="utf-8"))
+                  ["report"]["metrics"] for name in ("pipe.json", "file.json")}
+        assert report["pipe.json"] == report["file.json"]
+
+    def test_duplicate_warning_repeated_on_a_hit(self, files, tmp_path, capsys,
+                                                 caplog, parses):
+        lines = files["src"].read_text(encoding="utf-8").split("\n")
+        lines.insert(3, lines[1])
+        files["src"].write_text("\n".join(lines), encoding="utf-8")
+        logged = []
+        for name in ("cold", "warm"):
+            caplog.clear()
+            self.run(["eval-similarity", "--embeddings", str(files["src"]),
+                      "--dataset", str(files["sim"]),
+                      "--out", str(tmp_path / f"{name}.json")], capsys)
+            logged.append([(r.name, r.levelno, r.getMessage()) for r in caplog.records
+                           if r.levelno >= logging.WARNING])
+        assert parses == [files["src"].name]
+        assert logged[0] == logged[1] == [
+            ("gendebias.embeddings", logging.WARNING,
+             f"{files['src']}: skipped 1 duplicate words (kept first occurrence)")]
+
+    def test_each_input_hashed_once(self, files, tmp_path, capsys, monkeypatch):
+        hashed = collections.Counter()
+        sha256 = gendebias.cli._sha256
+
+        def counted(path):
+            hashed[Path(path)] += 1
+            return sha256(path)
+
+        monkeypatch.setattr(gendebias.cli, "_sha256", counted)
+        (tmp_path / "out").mkdir()
+        for argv in self.steps(files, tmp_path / "out"):
+            hashed.clear()
+            self.run(argv, capsys)
+            flags = dict(zip(argv, argv[1:]))
+            inputs = {Path(flags[f]) for f in ("--embeddings", "--embeddings-en",
+                                               "--lexicon", "--lexicon-en",
+                                               "--dict", "--seed-dict") if f in flags}
+            assert hashed == {path: 1 for path in inputs}, argv[0]
+        hashed.clear()
+        word = files["src"].read_text(encoding="utf-8").split("\n")[1].split(" ")[0]
+        identity = tmp_path / "identity.tsv"
+        identity.write_text(f"{word}\t{word}\n", encoding="utf-8")
+        same = str(files["src"])
+        self.run(["eval-translation", "--embeddings", same, "--embeddings-en", same,
+                  "--dict", str(identity), "--out", str(tmp_path / "t.json")], capsys)
+        assert hashed == {files["src"]: 1, identity: 1}

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import string
 import tempfile
 import warnings
@@ -275,17 +276,26 @@ class TestTextFormat:
     def test_round_trip_property(self, data, trailing):
         n = data.draw(st.integers(1, 8))
         dim = data.draw(st.integers(1, 6))
+        # a space, \n or \r would split a word's line; a tab and the other
+        # characters str.splitlines breaks on do not
         words = data.draw(st.lists(
-            st.text(string.ascii_letters + "áñü_", min_size=1, max_size=6),
+            st.text(string.ascii_letters + "áñü_ \t\n\r\x0b\x0c\x85\u2028",
+                    min_size=1, max_size=6),
             min_size=n, max_size=n, unique=True))
         matrix = data.draw(arrays(np.float64, (n, dim), elements=st.floats(
             -1e3, 1e3, allow_nan=False, allow_infinity=False)))
         space = EmbeddingSpace(words, matrix)
+        unwritable = [w for w in words if " " in w or "\n" in w or "\r" in w]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "space.vec"
+            if unwritable:
+                with pytest.raises(ValueError, match=re.escape(repr(unwritable[0]))):
+                    save_text_embeddings(space, path)
+                assert not path.exists()
+                return
             save_text_embeddings(space, path)
             if trailing:
-                lines = path.read_text(encoding="utf-8").splitlines()
+                lines = path.read_text(encoding="utf-8").split("\n")[:-1]
                 body = "".join(line + " \n" for line in lines[1:])
                 path.write_text(lines[0] + "\n" + body, encoding="utf-8")
             back = load_text_embeddings(path)
@@ -387,6 +397,35 @@ class TestTextFormat:
         save_text_embeddings(space, path)
         back = load_text_embeddings(path)
         assert np.allclose(back.matrix, space.matrix, atol=1e-9)
+
+    def test_writer_refuses_a_word_with_a_space(self, tmp_path):
+        path = tmp_path / "w.vec"
+        space = EmbeddingSpace(["ok", "a b", "c\nd"], np.eye(3))
+        with pytest.raises(ValueError, match=r"cannot write 'a b'"):
+            save_text_embeddings(space, path)
+        assert not path.exists()
+
+    def test_vec_cut_inside_a_character(self, tmp_path):
+        path = tmp_path / "cut.vec"
+        data = "2 2\na 1 0\ncaña 0 1\n".encode("utf-8")
+        cut = data.index("ñ".encode("utf-8"))
+        path.write_bytes(data[:cut + 1])
+        with pytest.raises(ValueError, match=rf"cut\.vec:3: invalid UTF-8 at byte "
+                                             rf"{cut} \(unexpected end of data\)"):
+            load_text_embeddings(path)
+
+    def test_invalid_utf8_located_past_the_first_block(self, tmp_path):
+        # "ñ" straddles the 1 MiB block boundary of the re-scan; the bad
+        # byte comes after it, on line 3
+        head = b"x" * ((1 << 20) - 5)
+        data = b"2 1\n" + head + "ñ".encode("utf-8") + b" 1\nb\xff 2\n"
+        assert data.index("ñ".encode("utf-8")) == (1 << 20) - 1
+        bad = data.index(b"\xff")
+        path = tmp_path / "big.vec"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"big\.vec:3: invalid UTF-8 at byte "
+                                             rf"{bad} \(invalid start byte\)"):
+            load_text_embeddings(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
