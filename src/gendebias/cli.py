@@ -40,7 +40,7 @@ from .embeddings import (BilingualSpace, EmbeddingSpace, _log_duplicates,
 from .evaluation import (export_projections, pair_translation_eval,
                          word_similarity_eval, word_translation_eval,
                          write_projections_csv, write_translation_csv)
-from .lexicon import (build_analogy_queries, coverage_filter,
+from .lexicon import (OccupationPair, build_analogy_queries, coverage_filter,
                       load_bilingual_dictionary, load_lexicon,
                       load_similarity_dataset)
 from .metrics import audit_bias, bias_correlation, mweat_pair, weat_assoc
@@ -76,11 +76,12 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _digest(args, path) -> str:
-    """sha256 of an input file, read once per invocation."""
+def _digest(args, path) -> str | None:
+    """sha256 of an input file, read once per invocation; None for an input
+    that is not a regular file (a pipe), whose bytes the loader has used up."""
     key = Path(path)
     if key not in args.digests:
-        args.digests[key] = _sha256(path)
+        args.digests[key] = _sha256(path) if key.is_file() else None
     return args.digests[key]
 
 
@@ -180,15 +181,6 @@ def _write_sidecar(path: Path, before, sidecar: Path, key: str, space,
         logger.debug("%s: sidecar not written: %s", sidecar, e)
 
 
-def _load_lexicon_for(space, path):
-    lex = load_lexicon(path)
-    filtered, report = coverage_filter(lex, space)
-    if report:
-        logger.info("%s: %d entries not covered by the space", path,
-                    report.total_dropped)
-    return filtered
-
-
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -196,14 +188,20 @@ def _require(args, *names):
             raise ValueError(f"{flag} is required for this invocation")
 
 
+def _english(args):
+    """The English space and its covered lexicon."""
+    _require(args, "embeddings_en", "lexicon_en")
+    en_space = _load_space(args, args.embeddings_en)
+    en_lex, _ = coverage_filter(load_lexicon(args.lexicon_en), en_space)
+    return en_space, en_lex
+
+
 def _directions_for(args, space, lex):
     """The direction bundle for `directions` and `export-projections`:
     pooled over both languages when --embeddings-en is given."""
     if args.embeddings_en is None:
         return build_directions(space, lex, ridge=args.ridge, seed=args.seed)
-    _require(args, "lexicon_en")
-    en_space = _load_space(args, args.embeddings_en)
-    en_lex = load_lexicon(args.lexicon_en)
+    en_space, en_lex = _english(args)
     return bilingual_directions(BilingualSpace(space, en_space), lex,
                                 en_lex.definitional_pairs,
                                 ridge=args.ridge, seed=args.seed)
@@ -214,7 +212,7 @@ def _directions_for(args, space, lex):
 
 def cmd_directions(args):
     space = _load_space(args, args.embeddings)
-    lex = _load_lexicon_for(space, args.lexicon)
+    lex, _ = coverage_filter(load_lexicon(args.lexicon), space)
     dirs = _directions_for(args, space, lex)
     config = _config_block(args)
     _write_json(args.out, {"config": config, "directions": dirs.to_json_dict()})
@@ -225,7 +223,7 @@ def cmd_directions(args):
 
 def cmd_audit(args):
     space = _load_space(args, args.embeddings)
-    lex = _load_lexicon_for(space, args.lexicon)
+    lex, _ = coverage_filter(load_lexicon(args.lexicon), space)
     report = audit_bias(lex, space, n_perm=args.n_perm, seed=args.seed)
     scores = {f"{p.word_m}/{p.word_f}": (p.b_signed if args.signed else p.b_unsigned)
               for p in report.pairs}
@@ -238,7 +236,7 @@ def cmd_audit(args):
 
 def cmd_mitigate(args):
     space = _load_space(args, args.embeddings)
-    lex = _load_lexicon_for(space, args.lexicon)
+    lex, _ = coverage_filter(load_lexicon(args.lexicon), space)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _config_block(args)
@@ -248,16 +246,13 @@ def cmd_mitigate(args):
         dirs = build_directions(space, lex, ridge=args.ridge, seed=args.seed)
         outcome = mitigate_shift_ori(space, lex, dirs)
     else:
-        _require(args, "embeddings_en", "lexicon_en")
-        en_space = _load_space(args, args.embeddings_en)
-        en_lex = load_lexicon(args.lexicon_en)
-        en_lex_cov, _ = coverage_filter(en_lex, en_space)
-        en_config = EnglishDebiasConfig.from_lexicon(en_lex_cov)
+        en_space, en_lex = _english(args)
+        en_config = EnglishDebiasConfig.from_lexicon(en_lex)
         seed_dict = (load_bilingual_dictionary(args.seed_dict)
                      if args.seed_dict is not None else None)
         if args.method == "shift_en":
             bi = BilingualSpace(space, en_space)
-            dirs = bilingual_directions(bi, lex, en_lex_cov.definitional_pairs,
+            dirs = bilingual_directions(bi, lex, en_lex.definitional_pairs,
                                         ridge=args.ridge, seed=args.seed)
             outcome = mitigate_shift_en(bi, lex, dirs)
         elif args.method == "de_align":
@@ -316,7 +311,7 @@ def cmd_eval_translation(args):
 def cmd_eval_pairs(args):
     space = _load_space(args, args.embeddings)
     en_space = _load_space(args, args.embeddings_en)
-    lex = _load_lexicon_for(space, args.lexicon)
+    lex, _ = coverage_filter(load_lexicon(args.lexicon), space)
     annotated = [p for p in lex.occupation_pairs if p.english is not None]
     if not annotated:
         raise ValueError("no English-annotated occupation pairs in the lexicon")
@@ -333,23 +328,29 @@ def cmd_eval_pairs(args):
     print(f"wrote {args.out}: " + " ".join(parts))
 
 
+# Lexicon field -> the projection group of its words, or of each pair's
+# (masculine, feminine) forms.  Row order follows this table.
+_PROJECTION_GROUPS = {
+    "definitional_pairs": ("definitional_masculine", "definitional_feminine"),
+    "occupation_pairs": ("occupation_masculine", "occupation_feminine"),
+    "inanimate_nouns": "inanimate",
+    "attributes_male": "attribute_masculine",
+    "attributes_female": "attribute_feminine",
+}
+
+
 def cmd_export_projections(args):
     space = _load_space(args, args.embeddings)
-    lex = _load_lexicon_for(space, args.lexicon)
+    lex, _ = coverage_filter(load_lexicon(args.lexicon), space)
     dirs = _directions_for(args, space, lex)
     annotated = []
-    for m, f in lex.definitional_pairs:
-        annotated.append((m, "definitional_masculine"))
-        annotated.append((f, "definitional_feminine"))
-    for p in lex.occupation_pairs:
-        annotated.append((p.masculine, "occupation_masculine"))
-        annotated.append((p.feminine, "occupation_feminine"))
-    for w in lex.inanimate_nouns:
-        annotated.append((w, "inanimate"))
-    for w in lex.attributes_male:
-        annotated.append((w, "attribute_masculine"))
-    for w in lex.attributes_female:
-        annotated.append((w, "attribute_feminine"))
+    for name, group in _PROJECTION_GROUPS.items():
+        for entry in getattr(lex, name):
+            if isinstance(group, str):
+                annotated.append((entry, group))
+            else:
+                forms = entry.words if isinstance(entry, OccupationPair) else entry
+                annotated.extend(zip(forms, group))
     rows, skipped = export_projections(space, annotated, dirs)
     config = _config_block(args)
     write_projections_csv(rows, args.out, meta=f"config_digest={_digest_of(config)}")
@@ -358,10 +359,8 @@ def cmd_export_projections(args):
 
 def cmd_correlate(args):
     space = _load_space(args, args.embeddings)
-    lex = _load_lexicon_for(space, args.lexicon)
-    en_space = _load_space(args, args.embeddings_en)
-    en_lex_raw = load_lexicon(args.lexicon_en)
-    en_lex, _ = coverage_filter(en_lex_raw, en_space)
+    lex, _ = coverage_filter(load_lexicon(args.lexicon), space)
+    en_space, en_lex = _english(args)
     if not en_lex.attributes_male or not en_lex.attributes_female:
         raise ValueError("English lexicon needs both attribute sets for "
                          "correlation")

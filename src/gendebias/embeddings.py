@@ -314,12 +314,18 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     bytes are those of a per-component ``f"{x:.10g}"``; each row is
     formatted by one ``%`` operation.  Raises ValueError naming the word,
     before writing anything, if a word holds a space, ``\\n`` or ``\\r`` (the
-    loader would split it) or if ``%.10g`` would round a component past the
+    loader would split it), if a word cannot be encoded as UTF-8 (it holds a
+    lone surrogate), or if ``%.10g`` would round a component past the
     float64 maximum (the loader reads that token as inf)."""
     bad = next((w for w in space.words if " " in w or "\n" in w or "\r" in w), None)
     if bad is not None:
         raise ValueError(f"cannot write {bad!r}: a word in the text format cannot "
                          "hold a space, '\\n' or '\\r'")
+    try:
+        "".join(space.words).encode("utf-8")
+    except UnicodeEncodeError as e:
+        bad = next(w for w in space.words if e.object[e.start] in w)
+        raise ValueError(f"cannot write {bad!r}: it cannot be encoded as UTF-8") from None
     # the smallest magnitude %.10g spells 1.797693135e+308; its predecessor
     # is still written as 1.797693134e+308
     over = np.abs(space.matrix).max(axis=1) >= 1.7976931345e308

@@ -1,16 +1,14 @@
 """Word lists driving the bias machinery: gender lexica, bilingual dictionaries,
 similarity datasets, and analogy query construction.
 
-The lexicon JSON schema (all fields required unless noted):
+``FIELDS`` is the lexicon schema: the JSON object's fields in order, each a
+list whose entries are of the field's kind.  Every field is required except
+``adjective_pairs``.  The kinds are:
 
-    definitional_pairs    [[masculine, feminine], ...]
-    grammatical_masculine [word, ...]
-    grammatical_feminine  [word, ...]
-    occupation_pairs      [[masculine, feminine], ...] or [[m, f, english], ...]
-    inanimate_nouns       [word, ...]
-    attributes_male       [word, ...]
-    attributes_female     [word, ...]
-    adjective_pairs       [[english, masculine, feminine], ...]   (optional)
+    words         [word, ...]
+    pairs         [[masculine, feminine], ...]
+    occupations   [[masculine, feminine], ...] or [[m, f, english], ...]
+    adjectives    [[english, masculine, feminine], ...]
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,15 +24,21 @@ from .embeddings import _open_utf8
 
 logger = logging.getLogger(__name__)
 
-REQUIRED_FIELDS = (
-    "definitional_pairs",
-    "grammatical_masculine",
-    "grammatical_feminine",
-    "occupation_pairs",
-    "inanimate_nouns",
-    "attributes_male",
-    "attributes_female",
-)
+FIELDS = {
+    "definitional_pairs": "pairs",
+    "grammatical_masculine": "words",
+    "grammatical_feminine": "words",
+    "occupation_pairs": "occupations",
+    "inanimate_nouns": "words",
+    "attributes_male": "words",
+    "attributes_female": "words",
+    "adjective_pairs": "adjectives",
+}
+OPTIONAL_FIELDS = frozenset({"adjective_pairs"})
+
+# Fields whose word lists may not share a word, and what the message calls them.
+_DISJOINT = (("grammatical_masculine", "grammatical_feminine", "classes"),
+             ("attributes_male", "attributes_female", "sets"))
 
 
 class LexiconError(ValueError):
@@ -65,17 +70,61 @@ def _check_words(field_name: str, words: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _check_pairs(field_name: str, pairs) -> tuple[tuple[str, str], ...]:
+def _check_forms(field_name: str, entries, size: int, expected: str,
+                 forms: str) -> tuple[tuple[str, ...], ...]:
+    """Entries of ``size`` words each, the last two being the gendered forms,
+    which must differ."""
+    out = []
+    for t in entries:
+        t = tuple(t)
+        if len(t) != size:
+            raise LexiconError(f"{field_name}: expected {expected}, got {t!r}")
+        t = _check_words(field_name, t)
+        if t[-2] == t[-1]:
+            raise LexiconError(f"{field_name}: {forms} must differ, got {t[-2]!r}")
+        out.append(t)
+    return tuple(out)
+
+
+def _check_occupations(field_name: str, pairs) -> tuple[OccupationPair, ...]:
     out = []
     for p in pairs:
-        p = tuple(p)
-        if len(p) != 2:
-            raise LexiconError(f"{field_name}: expected a pair, got {p!r}")
-        m, f = _check_words(field_name, p)
-        if m == f:
-            raise LexiconError(f"{field_name}: pair members must differ, got {m!r}")
-        out.append((m, f))
+        if not isinstance(p, OccupationPair):
+            p = tuple(p)
+            if len(p) not in (2, 3):
+                raise LexiconError(f"{field_name}: expected 2 or 3 entries, got {p!r}")
+            p = OccupationPair(*_check_words(field_name, p))
+        out.append(p)
     return tuple(out)
+
+
+_CHECKS = {
+    "words": _check_words,
+    "pairs": partial(_check_forms, size=2, expected="a pair", forms="pair members"),
+    "occupations": _check_occupations,
+    "adjectives": partial(_check_forms, size=3, expected="[english, masculine, feminine]",
+                          forms="gendered forms"),
+}
+
+
+def _covered(kind: str, entries, space) -> list[bool]:
+    """Whether each entry's gendered forms are in ``space``.  Pairs and
+    adjective triples both end with (masculine, feminine); an adjective's
+    English word is resolved in the English space, not here."""
+    if kind == "words":
+        return [w in space for w in entries]
+    if kind == "occupations":
+        return [p.masculine in space and p.feminine in space for p in entries]
+    return [e[-2] in space and e[-1] in space for e in entries]
+
+
+def _to_json(kind: str, entries) -> list:
+    if kind == "words":
+        return list(entries)
+    if kind == "occupations":
+        return [[p.masculine, p.feminine] + ([p.english] if p.english is not None else [])
+                for p in entries]
+    return [list(e) for e in entries]
 
 
 @dataclass(frozen=True)
@@ -98,83 +147,23 @@ class GenderLexicon:
     adjective_pairs: tuple[tuple[str, str, str], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "definitional_pairs",
-                           _check_pairs("definitional_pairs", self.definitional_pairs))
-        object.__setattr__(self, "grammatical_masculine",
-                           _check_words("grammatical_masculine", self.grammatical_masculine))
-        object.__setattr__(self, "grammatical_feminine",
-                           _check_words("grammatical_feminine", self.grammatical_feminine))
-        occ = []
-        for p in self.occupation_pairs:
-            if isinstance(p, OccupationPair):
-                occ.append(p)
-            else:
-                p = tuple(p)
-                if len(p) in (2, 3):
-                    occ.append(OccupationPair(*_check_words("occupation_pairs", p)))
-                else:
-                    raise LexiconError(
-                        f"occupation_pairs: expected 2 or 3 entries, got {p!r}")
-        object.__setattr__(self, "occupation_pairs", tuple(occ))
-        object.__setattr__(self, "inanimate_nouns",
-                           _check_words("inanimate_nouns", self.inanimate_nouns))
-        object.__setattr__(self, "attributes_male",
-                           _check_words("attributes_male", self.attributes_male))
-        object.__setattr__(self, "attributes_female",
-                           _check_words("attributes_female", self.attributes_female))
-        adj = []
-        for t in self.adjective_pairs:
-            t = tuple(t)
-            if len(t) != 3:
-                raise LexiconError(
-                    f"adjective_pairs: expected [english, masculine, feminine], got {t!r}")
-            en, m, f = _check_words("adjective_pairs", t)
-            if m == f:
-                raise LexiconError(f"adjective_pairs: gendered forms must differ, got {m!r}")
-            adj.append((en, m, f))
-        object.__setattr__(self, "adjective_pairs", tuple(adj))
-
-        overlap = set(self.grammatical_masculine) & set(self.grammatical_feminine)
-        if overlap:
-            w = sorted(overlap)[0]
-            raise LexiconError(f"grammatical_masculine/grammatical_feminine: "
-                               f"word in both classes: {w!r}")
-        both = set(self.attributes_male) & set(self.attributes_female)
-        if both:
-            w = sorted(both)[0]
-            raise LexiconError(f"attributes_male/attributes_female: "
-                               f"word in both sets: {w!r}")
+        for name, kind in FIELDS.items():
+            object.__setattr__(self, name, _CHECKS[kind](name, getattr(self, name)))
+        for a, b, what in _DISJOINT:
+            both = set(getattr(self, a)) & set(getattr(self, b))
+            if both:
+                raise LexiconError(f"{a}/{b}: word in both {what}: {min(both)!r}")
 
     def counts(self) -> dict[str, int]:
-        return {
-            "definitional_pairs": len(self.definitional_pairs),
-            "grammatical_masculine": len(self.grammatical_masculine),
-            "grammatical_feminine": len(self.grammatical_feminine),
-            "occupation_pairs": len(self.occupation_pairs),
-            "inanimate_nouns": len(self.inanimate_nouns),
-            "attributes_male": len(self.attributes_male),
-            "attributes_female": len(self.attributes_female),
-            "adjective_pairs": len(self.adjective_pairs),
-        }
+        return {name: len(getattr(self, name)) for name in FIELDS}
 
 
 def lexicon_to_json_dict(lex: GenderLexicon) -> dict:
-    """Inverse of load_lexicon, for writing lexica back to disk."""
-    d = {
-        "definitional_pairs": [list(p) for p in lex.definitional_pairs],
-        "grammatical_masculine": list(lex.grammatical_masculine),
-        "grammatical_feminine": list(lex.grammatical_feminine),
-        "occupation_pairs": [
-            [p.masculine, p.feminine] + ([p.english] if p.english is not None else [])
-            for p in lex.occupation_pairs
-        ],
-        "inanimate_nouns": list(lex.inanimate_nouns),
-        "attributes_male": list(lex.attributes_male),
-        "attributes_female": list(lex.attributes_female),
-    }
-    if lex.adjective_pairs:
-        d["adjective_pairs"] = [list(t) for t in lex.adjective_pairs]
-    return d
+    """Inverse of load_lexicon, for writing lexica back to disk.  An empty
+    optional field is left out."""
+    return {name: _to_json(kind, getattr(lex, name))
+            for name, kind in FIELDS.items()
+            if getattr(lex, name) or name not in OPTIONAL_FIELDS}
 
 
 def load_lexicon(path) -> GenderLexicon:
@@ -187,27 +176,17 @@ def load_lexicon(path) -> GenderLexicon:
             raise LexiconError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise LexiconError(f"{path}: top level must be a JSON object")
-    missing = [k for k in REQUIRED_FIELDS if k not in raw]
+    missing = [k for k in FIELDS if k not in raw and k not in OPTIONAL_FIELDS]
     if missing:
         raise LexiconError(f"{path}: missing required field {missing[0]!r}")
-    known = set(REQUIRED_FIELDS) | {"adjective_pairs"}
-    unknown = [k for k in raw if k not in known]
+    unknown = [k for k in raw if k not in FIELDS]
     if unknown:
         raise LexiconError(f"{path}: unknown field {unknown[0]!r}")
-    for k in known:
+    for k in FIELDS:
         if k in raw and not isinstance(raw[k], list):
             raise LexiconError(f"{path}: field {k!r} must be a list")
     try:
-        lex = GenderLexicon(
-            definitional_pairs=raw["definitional_pairs"],
-            grammatical_masculine=raw["grammatical_masculine"],
-            grammatical_feminine=raw["grammatical_feminine"],
-            occupation_pairs=raw["occupation_pairs"],
-            inanimate_nouns=raw["inanimate_nouns"],
-            attributes_male=raw["attributes_male"],
-            attributes_female=raw["attributes_female"],
-            adjective_pairs=raw.get("adjective_pairs", ()),
-        )
+        lex = GenderLexicon(**raw)
     except LexiconError as e:
         raise LexiconError(f"{path}: {e}") from None
     logger.info("%s: loaded lexicon %s", path, lex.counts())
@@ -216,7 +195,7 @@ def load_lexicon(path) -> GenderLexicon:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """What coverage_filter dropped, keyed by lexicon field."""
+    """What coverage_filter dropped, keyed by lexicon field in schema order."""
 
     dropped: dict[str, tuple] = field(default_factory=dict)
 
@@ -236,59 +215,21 @@ def coverage_filter(lex: GenderLexicon, space) -> tuple[GenderLexicon, CoverageR
     anchor resolution happens against the English space, not this one).
     Running the filter twice is a no-op the second time.
     """
+    kept: dict[str, tuple] = {}
     dropped: dict[str, tuple] = {}
-
-    def keep_words(name, words):
-        kept = tuple(w for w in words if w in space)
-        gone = tuple(w for w in words if w not in space)
-        if gone:
-            dropped[name] = gone
-        return kept
-
-    def keep_pairs(name, pairs):
-        kept, gone = [], []
-        for p in pairs:
-            if p[0] in space and p[1] in space:
-                kept.append(p)
-            else:
-                gone.append(tuple(p))
-        if gone:
-            dropped[name] = tuple(gone)
-        return tuple(kept)
-
-    occ_kept, occ_gone = [], []
-    for p in lex.occupation_pairs:
-        if p.masculine in space and p.feminine in space:
-            occ_kept.append(p)
-        else:
-            occ_gone.append(p.words)
-    if occ_gone:
-        dropped["occupation_pairs"] = tuple(occ_gone)
-
-    adj_kept, adj_gone = [], []
-    for en, m, f in lex.adjective_pairs:
-        if m in space and f in space:
-            adj_kept.append((en, m, f))
-        else:
-            adj_gone.append((en, m, f))
-    if adj_gone:
-        dropped["adjective_pairs"] = tuple(adj_gone)
-
-    filtered = GenderLexicon(
-        definitional_pairs=keep_pairs("definitional_pairs", lex.definitional_pairs),
-        grammatical_masculine=keep_words("grammatical_masculine", lex.grammatical_masculine),
-        grammatical_feminine=keep_words("grammatical_feminine", lex.grammatical_feminine),
-        occupation_pairs=tuple(occ_kept),
-        inanimate_nouns=keep_words("inanimate_nouns", lex.inanimate_nouns),
-        attributes_male=keep_words("attributes_male", lex.attributes_male),
-        attributes_female=keep_words("attributes_female", lex.attributes_female),
-        adjective_pairs=tuple(adj_kept),
-    )
+    for name, kind in FIELDS.items():
+        entries = getattr(lex, name)
+        covered = _covered(kind, entries, space)
+        kept[name] = tuple(e for e, ok in zip(entries, covered) if ok)
+        if len(kept[name]) < len(entries):
+            gone = tuple(e for e, ok in zip(entries, covered) if not ok)
+            dropped[name] = (tuple(p.words for p in gone) if kind == "occupations"
+                             else gone)
     report = CoverageReport(dropped=dropped)
     if report:
         logger.info("coverage filter dropped %d entries: %s", report.total_dropped,
                     {k: len(v) for k, v in dropped.items()})
-    return filtered, report
+    return GenderLexicon(**kept), report
 
 
 class BilingualDictionary:
@@ -423,8 +364,6 @@ def build_analogy_queries(occupation_pairs: Sequence[OccupationPair],
     """
     queries: list[AnalogyQuery] = []
     for occ in occupation_pairs:
-        if isinstance(occ, (tuple, list)):
-            occ = OccupationPair(*occ)
         if occ.english is None:
             raise ValueError(f"occupation pair without English word: "
                              f"{occ.words!r}")

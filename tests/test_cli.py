@@ -759,9 +759,13 @@ class TestSidecar:
         self.run(["eval-similarity", "--embeddings", str(files["src"]),
                   "--dataset", str(files["sim"]),
                   "--out", str(tmp_path / "file.json")], capsys)
-        report = {name: json.loads((tmp_path / name).read_text(encoding="utf-8"))
-                  ["report"]["metrics"] for name in ("pipe.json", "file.json")}
-        assert report["pipe.json"] == report["file.json"]
+        out = {name: json.loads((tmp_path / name).read_text(encoding="utf-8"))
+               for name in ("pipe.json", "file.json")}
+        assert out["pipe.json"]["report"]["metrics"] == out["file.json"]["report"]["metrics"]
+        # the loader drained the pipe, so there are no bytes left to digest
+        assert out["pipe.json"]["config"]["input_digests"]["embeddings"] is None
+        assert out["file.json"]["config"]["input_digests"]["embeddings"] == \
+            hashlib.sha256(data).hexdigest()
 
     def test_duplicate_warning_repeated_on_a_hit(self, files, tmp_path, capsys,
                                                  caplog, parses):

@@ -400,10 +400,12 @@ class TestTextFormat:
 
     def test_writer_refuses_a_word_with_a_space(self, tmp_path):
         path = tmp_path / "w.vec"
-        space = EmbeddingSpace(["ok", "a b", "c\nd"], np.eye(3))
-        with pytest.raises(ValueError, match=r"cannot write 'a b'"):
-            save_text_embeddings(space, path)
-        assert not path.exists()
+        for words, bad in ((["ok", "a b", "c\nd"], "a b"),
+                           (["a", "\udc80", "b\udfff"], "\udc80")):  # not UTF-8
+            space = EmbeddingSpace(words, np.eye(3))
+            with pytest.raises(ValueError, match=re.escape(f"cannot write {bad!r}")):
+                save_text_embeddings(space, path)
+            assert not path.exists()
 
     def test_vec_cut_inside_a_character(self, tmp_path):
         path = tmp_path / "cut.vec"

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from gendebias import (
     load_lexicon,
     load_similarity_dataset,
 )
+from gendebias.lexicon import FIELDS, OPTIONAL_FIELDS
 
 DATA_DIR = Path(gendebias.__file__).parent / "data"
 
@@ -33,6 +36,10 @@ MINIMAL = {
     "attributes_female": ["ella"],
     "adjective_pairs": [["good", "bueno", "buena"]],
 }
+
+
+def exactly(message):
+    return rf"\A{re.escape(message)}\Z"
 
 
 def write_lexicon(tmp_path, payload, name="lex.json"):
@@ -77,13 +84,16 @@ class TestLoading:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError, match=exactly(
+                f"{path}: not valid JSON: Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)")):
             load_lexicon(path)
 
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]", encoding="utf-8")
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError,
+                           match=exactly(f"{path}: top level must be a JSON object")):
             load_lexicon(path)
 
     def test_adjective_pairs_optional(self, tmp_path):
@@ -93,11 +103,42 @@ class TestLoading:
         assert lex.adjective_pairs == ()
 
 
+class TestSchema:
+    def test_field_table_lists_the_dataclass_fields_in_order(self):
+        assert list(FIELDS) == [f.name for f in dataclasses.fields(GenderLexicon)]
+
+    # one covered and one uncovered entry of each kind, and how the
+    # coverage report lists the uncovered one
+    ENTRIES = {
+        "words": (["in", "out"], "out"),
+        "pairs": ([["in", "in2"], ["in", "out"]], ("in", "out")),
+        "occupations": ([["in", "in2", "en"], ["out", "in2", "en"]], ("out", "in2")),
+        "adjectives": ([["en", "in", "in2"], ["in", "en", "out"]], ("in", "en", "out")),
+    }
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_one_uncovered_entry_dropped_from_each_field(self, name, tmp_path):
+        entries, label = self.ENTRIES[FIELDS[name]]
+        lex = GenderLexicon(**{name: entries})
+        space = EmbeddingSpace(["in", "in2"], [[1.0, 0.0], [0.0, 1.0]])
+        filtered, report = coverage_filter(lex, space)
+        assert getattr(filtered, name) == getattr(lex, name)[:1]
+        assert report.dropped == {name: (label,)}
+        payload = lexicon_to_json_dict(filtered)
+        # schema order; an empty optional field is left out
+        assert list(payload) == [k for k in FIELDS
+                                 if k not in OPTIONAL_FIELDS or k == name]
+        assert payload[name] == entries[:1]
+        assert load_lexicon(write_lexicon(tmp_path, payload)) == filtered
+
+
 class TestInvariants:
     def test_pair_members_must_differ(self):
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError, match=exactly(
+                "definitional_pairs: pair members must differ, got 'mismo'")):
             GenderLexicon(definitional_pairs=[["mismo", "mismo"]])
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError, match=exactly(
+                "occupation_pairs: pair members must differ, got 'igual'")):
             OccupationPair("igual", "igual")
 
     def test_grammatical_classes_disjoint(self):
@@ -110,19 +151,25 @@ class TestInvariants:
             GenderLexicon(attributes_male=["x"], attributes_female=["x"])
 
     def test_occupation_pair_wrong_arity(self):
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError, match=exactly(
+                "occupation_pairs: expected 2 or 3 entries, got ('a', 'b', 'c', 'd')")):
             GenderLexicon(occupation_pairs=[["a", "b", "c", "d"]])
 
     def test_adjective_triple_validated(self):
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError, match=exactly(
+                "adjective_pairs: expected [english, masculine, feminine], "
+                "got ('good', 'bueno')")):
             GenderLexicon(adjective_pairs=[["good", "bueno"]])
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError, match=exactly(
+                "adjective_pairs: gendered forms must differ, got 'bueno'")):
             GenderLexicon(adjective_pairs=[["good", "bueno", "bueno"]])
 
     def test_empty_words_rejected(self):
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError,
+                           match=exactly("inanimate_nouns: invalid word ''")):
             GenderLexicon(inanimate_nouns=["", "pared"])
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError,
+                           match=exactly("grammatical_masculine: invalid word '   '")):
             GenderLexicon(grammatical_masculine=["   "])
 
     def test_empty_lexicon_is_valid(self):
