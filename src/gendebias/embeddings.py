@@ -308,11 +308,215 @@ def _log_duplicates(path, duplicates: int) -> None:
                        Path(path), duplicates)
 
 
+# -- %.10g of a block of components at once -----------------------------------
+#
+# Each component gets a 24-byte slot of three little-endian words, NUL where
+# a byte is unused; one bytes.translate drops the NULs.
+#   bytes 0-7    " ", "-" for a negative sign, "0." and zeros for -4 <= X < 0
+#   bytes 8-18   the 10 significant digits without their trailing zeros (the
+#                integer digits of a fixed-notation value stay), with "." after
+#                the integer digits, or after the first digit in exponent form
+#   bytes 19-22  "e+XX" / "e-XX" in exponent form (X < -4 or X >= 10)
+#   byte 23      "\n" after a row's last component
+# X is the decimal exponent of the rounded value, as %g uses it.
+
+# Components per block: the scratch arrays stay a few MB whatever the size of
+# the space (a block holds whole rows, at least one).
+_FORMAT_BLOCK = 1 << 14
+
+# 10**(9 - e) is exact in float64 for |9 - e| <= 22; a carry adds one to e.
+# Every other magnitude, subnormals included, is formatted by Python.
+_EXP_MIN, _EXP_MAX = -13, 32
+_NEXP = _EXP_MAX - _EXP_MIN + 1
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+
+# A scaled significand s = |x| * 10**(9 - e) is trusted when it lies in
+# [1e9, 9999999999] (no carry) and is not within 1e-5 of a rounding tie: its
+# float64 error is at most 1e10 * 2**-53, so rint(s) is then the correctly
+# rounded significand, and no exact tie ever needs dtoa's tie rule.
+_S_MID, _S_HALF = 5499999999.5, 4499999999.5
+_TIE_BAND = 0.5 - 1e-5
+
+# _SCALE[floor(log10|x|) + 324] = 10**(9 - e) where a multiplication makes it
+# exact, else 0, which sends the component to the exact path.
+_SCALE = np.array([float(10 ** (9 - e)) if 0 <= 9 - e <= 22 else 0.0
+                   for e in range(-324, 309)])
+
+
+def _digit_words(width: int, first: int) -> np.ndarray:
+    """Slot words 1 and 2 holding the ASCII digits of every ``width``-digit
+    group (leading zeros kept) placed from significant digit ``first``."""
+    groups = np.arange(10 ** width)
+    words = np.zeros((2, groups.size), dtype="<u8")
+    for j in range(width):
+        digit = (groups // 10 ** (width - 1 - j) % 10 + ord("0")).astype("<u8")
+        pos = first + j
+        words[pos // 8] |= digit << np.uint64(8 * (pos % 8))
+    return words
+
+
+def _digit_count(width: int, first: int) -> np.ndarray:
+    """The slot-table offset of the significant-digit count k a group sets:
+    k = the position after its last non-zero digit (0 for the zero group);
+    the largest over a significand's groups is its k."""
+    groups = np.arange(10 ** width)
+    zeros = sum((groups % 10 ** j == 0).astype(np.intp) for j in range(1, width + 1))
+    k = np.where(groups > 0, first + width - zeros, 0)
+    # slot index = (11 * neg + k) * _NEXP + e - _EXP_MIN, e + 324 added later
+    return k * _NEXP - 324 - _EXP_MIN
+
+
+_DIGITS_HI = _digit_words(4, 0)[0]       # significand digits 0-3
+_DIGITS_MID = _digit_words(3, 4)[0]      # digits 4-6
+_DIGITS_LO1, _DIGITS_LO2 = _digit_words(3, 7)   # digit 7 | digits 8-9
+_COUNT_HI, _COUNT_MID, _COUNT_LO = (_digit_count(4, 0), _digit_count(3, 4),
+                                    _digit_count(3, 7))
+
+
+def _slot_tables():
+    """Per (sign, k, X): the slot's literal bytes, the digit bytes that stay
+    in place and those that move one byte right past the point, as three
+    words each, and the slot's byte count."""
+    size = 2 * 11 * _NEXP
+    literal, keep, shift = (np.zeros((3, size), dtype="<u8") for _ in range(3))
+    width = np.zeros(size, dtype=np.intp)
+    for neg, k, x in itertools.product((0, 1), range(1, 11), range(_EXP_MIN, _EXP_MAX + 1)):
+        lit, kept, moved = bytearray(24), bytearray(24), bytearray(24)
+        lit[:2] = b" -" if neg else b" \0"
+        n_digits = k
+        if not -4 <= x < 10:        # d.ddde+XX
+            point = 0
+            lit[19:23] = b"e%+03d" % x
+        elif x >= 0:                # integer digits, zeros included, then .ddd
+            point = x
+            n_digits = max(k, x + 1)
+        else:                       # 0.000ddd
+            point = 10
+            lit[2:3 - x] = b"0." + b"0" * (-x - 1)
+        has_point = n_digits > point + 1
+        if has_point:
+            lit[9 + point] = ord(".")
+        for j in range(n_digits):
+            if has_point and j > point:
+                moved[9 + j] = 0xFF
+            else:
+                kept[8 + j] = 0xFF
+        i = (11 * neg + k) * _NEXP + x - _EXP_MIN
+        for table, data in ((literal, lit), (keep, kept), (shift, moved)):
+            table[:, i] = np.frombuffer(bytes(data), dtype="<u8")
+        width[i] = sum(map(bool, lit)) + n_digits
+    return literal, keep, shift, width
+
+
+(_LEAD, _MARK1, _MARK2), (_, _KEEP1, _KEEP2), (_, _SHIFT1, _SHIFT2), _WIDTH = _slot_tables()
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``a * 10**(9 - e)`` by one correctly rounded multiplication or
+    division by an exact power of ten; NaN where no such power exists."""
+    p = 9 - e
+    s = np.full(a.shape, np.nan)
+    up = (p >= 0) & (p <= 22)
+    down = (p < 0) & (p >= -22)
+    s[up] = a[up] * _POW10[p[up]]
+    s[down] = a[down] / _POW10[-p[down]]
+    return s
+
+
+def _format_rows(block: np.ndarray) -> tuple[bytearray, np.ndarray]:
+    """The bytes ``" c1 c2 ... c_dim\\n"`` of each row of ``block``, every
+    component as ``f"{c:.10g}"`` spells it, and the byte count of each row."""
+    rows, dim = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    a[zero] = 1.0   # spelled "1", then its digit is made "0"
+    # e + 324 for e = floor(log10 a); where log10 rounds across a power of
+    # ten, s lands within 1e-4 of 1e9 (rint gives the digits of the rounded
+    # power) or of 1e10 (left to Python)
+    ei = np.log10(a)
+    ei += 324.0
+    ei = ei.astype(np.intp)
+    s = _SCALE[ei]
+    s *= a
+    m = np.rint(s)
+    tie = s - m
+    np.abs(tie, out=tie)
+    odd = tie > _TIE_BAND
+    s -= _S_MID
+    np.abs(s, out=s)
+    odd |= s > _S_HALF
+    odd = np.flatnonzero(odd)
+    fallback = odd[:0]
+    if odd.size:
+        # |x| >= 1e10 divided by an exact power of ten and carries resolved;
+        # ties, exponents misestimated near a power of ten and magnitudes
+        # without an exact power are formatted by Python
+        e = ei[odd] - 324
+        so = _scaled(a[odd], e)
+        mo = np.rint(so)
+        exact = (so >= 1e9) & (so < 1e10) & (np.abs(so - mo) <= _TIE_BAND)
+        carry = mo == 1e10
+        mo[carry] = 1e9
+        e += carry
+        m[odd] = np.where(exact, mo, 1e9)
+        ei[odd] = np.where(exact, e, 0) + 324
+        fallback = odd[~exact]
+    sig = m.astype(np.intp)
+    hi = sig // 1000000
+    sig -= hi * 1000000
+    mid = sig // 1000
+    sig -= mid * 1000
+    ci = _COUNT_HI[hi]
+    np.maximum(ci, _COUNT_MID[mid], out=ci)
+    np.maximum(ci, _COUNT_LO[sig], out=ci)
+    ci += ei
+    ci += np.signbit(x) * (11 * _NEXP)
+    digits1 = _DIGITS_HI[hi]
+    digits1 |= _DIGITS_MID[mid]
+    digits1 |= _DIGITS_LO1[sig]
+    digits1 -= zero
+    digits2 = _DIGITS_LO2[sig]
+    out = bytearray(24 * x.size)
+    slots = np.frombuffer(out, dtype="<u8").reshape(x.size, 3)
+    slots[:, 0] = _LEAD[ci]
+    # a digit past the point moves one byte right; digit 7 into word 2
+    moved = digits2 << np.uint64(8)
+    moved |= digits1 >> np.uint64(56)
+    moved &= _SHIFT2[ci]
+    moved |= _MARK2[ci]
+    digits2 &= _KEEP2[ci]
+    moved |= digits2
+    slots[:, 2] = moved
+    moved = digits1 << np.uint64(8)
+    moved &= _SHIFT1[ci]
+    moved |= _MARK1[ci]
+    digits1 &= _KEEP1[ci]
+    moved |= digits1
+    slots[:, 1] = moved
+    slots[dim - 1::dim, 2] |= np.uint64(ord("\n") << 56)
+    widths = _WIDTH[ci]
+    if fallback.size:
+        # one % operation for them all; "S22" pads each token with NULs
+        tokens = np.array(("%.10g " * fallback.size % tuple(x[fallback].tolist())).split(),
+                          dtype="S22").view(np.uint8).reshape(-1, 22)
+        slots.view(np.uint8)[fallback, 1:23] = tokens
+        widths[fallback] = np.count_nonzero(tokens, axis=1) + 1
+    lengths = widths.reshape(rows, dim).sum(axis=1)
+    lengths += 1
+    return out.translate(None, b"\0"), lengths
+
+
 def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     """Write the text format back out with 10 significant digits (``%.10g``),
     which keeps the load/save round trip within 1e-6 per component.  The
-    bytes are those of a per-component ``f"{x:.10g}"``; each row is
-    formatted by one ``%`` operation.  Raises ValueError naming the word,
+    bytes are those of a per-component ``f"{x:.10g}"``.  Blocks of at most
+    _FORMAT_BLOCK components (whole rows, at least one) are converted at
+    once by numpy: the 10-digit significand is ``rint`` of the component
+    scaled by an exact power of ten, which is the correctly rounded one
+    unless it lies within 1e-5 of a rounding tie; such components, and
+    magnitudes outside about [1e-13, 1e32] (no exact power), are formatted
+    by Python.  Raises ValueError naming the word,
     before writing anything, if a word holds a space, ``\\n`` or ``\\r`` (the
     loader would split it), if a word cannot be encoded as UTF-8 (it holds a
     lone surrogate), or if ``%.10g`` would round a component past the
@@ -328,16 +532,23 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
         raise ValueError(f"cannot write {bad!r}: it cannot be encoded as UTF-8") from None
     # the smallest magnitude %.10g spells 1.797693135e+308; its predecessor
     # is still written as 1.797693134e+308
-    over = np.abs(space.matrix).max(axis=1) >= 1.7976931345e308
+    largest = np.maximum(space.matrix.max(axis=1), -space.matrix.min(axis=1))
+    over = largest >= 1.7976931345e308
     if over.any():
         raise ValueError(f"cannot write {space.words[int(np.argmax(over))]!r}: %.10g "
                          "rounds one of its components past the float64 maximum")
-    path = Path(path)
-    fmt = " ".join(["%.10g"] * space.dim)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(space)} {space.dim}\n")
-        fh.writelines(f"{word} {fmt % tuple(row.tolist())}\n"
-                      for word, row in zip(space.words, space.matrix))
+    rows = max(1, _FORMAT_BLOCK // space.dim)
+    with Path(path).open("wb") as fh:
+        fh.write(f"{len(space)} {space.dim}\n".encode())
+        for start in range(0, len(space), rows):
+            body, lengths = _format_rows(space.matrix[start:start + rows])
+            view = memoryview(body)
+            parts = []
+            end = 0
+            for word, length in zip(space.words[start:start + rows], lengths.tolist()):
+                parts += (word.encode(), view[end:end + length])
+                end += length
+            fh.write(b"".join(parts))
 
 
 def unit_normalize(space: EmbeddingSpace) -> EmbeddingSpace:

@@ -52,6 +52,8 @@ class OccupationPair:
     english: str | None = None
 
     def __post_init__(self):
+        _check_words("occupation_pairs", self.words if self.english is None
+                     else self.words + (self.english,))
         if self.masculine == self.feminine:
             raise LexiconError(
                 f"occupation_pairs: pair members must differ, got {self.masculine!r}")
@@ -70,13 +72,22 @@ def _check_words(field_name: str, words: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _entry(field_name: str, index: int, entry) -> tuple:
+    """An entry of a pairs, occupations or adjectives field, which must be a
+    JSON array (a list or tuple), as a tuple."""
+    if not isinstance(entry, (list, tuple)):
+        raise LexiconError(f"{field_name}: entry {index} is not an array of "
+                           f"words: {entry!r}")
+    return tuple(entry)
+
+
 def _check_forms(field_name: str, entries, size: int, expected: str,
                  forms: str) -> tuple[tuple[str, ...], ...]:
     """Entries of ``size`` words each, the last two being the gendered forms,
     which must differ."""
     out = []
-    for t in entries:
-        t = tuple(t)
+    for i, t in enumerate(entries):
+        t = _entry(field_name, i, t)
         if len(t) != size:
             raise LexiconError(f"{field_name}: expected {expected}, got {t!r}")
         t = _check_words(field_name, t)
@@ -88,12 +99,12 @@ def _check_forms(field_name: str, entries, size: int, expected: str,
 
 def _check_occupations(field_name: str, pairs) -> tuple[OccupationPair, ...]:
     out = []
-    for p in pairs:
+    for i, p in enumerate(pairs):
         if not isinstance(p, OccupationPair):
-            p = tuple(p)
+            p = _entry(field_name, i, p)
             if len(p) not in (2, 3):
                 raise LexiconError(f"{field_name}: expected 2 or 3 entries, got {p!r}")
-            p = OccupationPair(*_check_words(field_name, p))
+            p = OccupationPair(*p)
         out.append(p)
     return tuple(out)
 
@@ -147,6 +158,9 @@ class GenderLexicon:
     adjective_pairs: tuple[tuple[str, str, str], ...] = ()
 
     def __post_init__(self):
+        for name in FIELDS:
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise LexiconError(f"field {name!r} must be a list")
         for name, kind in FIELDS.items():
             object.__setattr__(self, name, _CHECKS[kind](name, getattr(self, name)))
         for a, b, what in _DISJOINT:
@@ -182,9 +196,6 @@ def load_lexicon(path) -> GenderLexicon:
     unknown = [k for k in raw if k not in FIELDS]
     if unknown:
         raise LexiconError(f"{path}: unknown field {unknown[0]!r}")
-    for k in FIELDS:
-        if k in raw and not isinstance(raw[k], list):
-            raise LexiconError(f"{path}: field {k!r} must be a list")
     try:
         lex = GenderLexicon(**raw)
     except LexiconError as e:

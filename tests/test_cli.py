@@ -254,6 +254,24 @@ class TestDirections:
         assert payload["config"]["subcommand"] == "directions"
         assert "wrote" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, entry", [
+        ("definitional_pairs", 1), ("definitional_pairs", "ab"),
+        ("occupation_pairs", 5), ("occupation_pairs", {"m": "x"}),
+    ])
+    def test_entry_that_is_not_an_array_exits_one(self, cli_files, tmp_path,
+                                                  capsys, name, entry):
+        payload = json.loads(cli_files["lex"].read_text(encoding="utf-8"))
+        payload[name] = [entry]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["directions", "--embeddings", str(cli_files["src"]),
+                     "--lexicon", str(bad), "--out", str(tmp_path / "d.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines()[-1] == (f"error: {bad}: {name}: entry 0 is not an "
+                                        f"array of words: {entry!r}")
+        assert "Traceback" not in err
+
     def test_bilingual_requires_english_lexicon(self, cli_files, tmp_path,
                                                 capsys):
         code = main(["directions", "--embeddings", str(cli_files["src"]),

@@ -46,6 +46,38 @@ _FINITE_TOKEN = st.one_of(
 ).filter(lambda t: math.isfinite(float(t)))
 
 
+def _nextafter_steps(x, steps):
+    """``x`` moved ``steps`` float64 neighbours up (or down, when negative)."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else 0.0))
+    return x
+
+
+# Components at every class edge of the %.10g writer: neighbours of the
+# fixed/exponent and 10-digit boundaries, exact ties at the 10th digit
+# (1234567890.5, 123456789.25, 12345678.125), carries past a power of ten,
+# zeros, subnormals, and magnitudes without an exact power of ten.
+_WRITER_CASES = st.builds(
+    lambda x, negative: -x if negative else x,
+    st.one_of(
+        _ANY_FINITE.filter(lambda x: abs(x) < 1.7976931345e308),
+        st.builds(_nextafter_steps, st.sampled_from([1e-5, 1e-4, 1.0, 1e9, 1e10, 1e-13, 1e23]),
+                  st.integers(-3, 3)),
+        st.integers(1, 3).flatmap(lambda j: st.integers(10 ** (10 - j), 10 ** (11 - j) - 1).map(
+            lambda n: (2 ** j * n + 1) / 2 ** j)),
+        st.builds(lambda n, e: (n + 0.5) * 2.0 ** e, st.integers(0, 2 ** 20), st.integers(-60, 60)),
+        st.sampled_from([9.9999999995, 0.99999999996, 999999999.95, 9999999999.5, 0.0]),
+        st.floats(0.0, 2.2250738585072014e-308),
+    ),
+    st.booleans())
+
+
+def _per_component_text(words, matrix) -> bytes:
+    return (f"{matrix.shape[0]} {matrix.shape[1]}\n" + "".join(
+        f"{w} " + " ".join(f"{x:.10g}" for x in row) + "\n"
+        for w, row in zip(words, matrix.tolist()))).encode("utf-8")
+
+
 def _dict_of(space):
     return {w: space.vector(w) for w in space.words}
 
@@ -377,6 +409,35 @@ class TestTextFormat:
             f"{w} " + " ".join(f"{x:.10g}" for x in row.tolist()) + "\n"
             for w, row in zip(words, matrix))
         assert got == want.encode("utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_writer_matches_per_component_format_at_every_class_edge(self, data):
+        # a small block budget makes a few rows span several blocks
+        budget = data.draw(st.integers(1, 40), label="block budget")
+        matrix = data.draw(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                                  elements=_WRITER_CASES), label="matrix")
+        words = [f"w{i}" for i in range(matrix.shape[0])]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(embeddings, "_FORMAT_BLOCK", budget):
+            path = Path(tmp) / "space.vec"
+            save_text_embeddings(EmbeddingSpace(words, matrix), path)
+            assert path.read_bytes() == _per_component_text(words, matrix)
+
+    def test_writer_spans_blocks_at_full_budget(self, tmp_path):
+        # dim 7 does not divide the block budget; three blocks, the last short
+        rng = np.random.default_rng(11)
+        rows = 2 * (embeddings._FORMAT_BLOCK // 7) + 3
+        edges = [_nextafter_steps(b, k) for b in (1e-5, 1e-4, 1.0, 1e9, 1e10) for k in range(-3, 4)]
+        pool = np.array(edges + [1234567890.5, 123456789.25, 12345678.125, 9.9999999995,
+                                 0.99999999996, 999999999.95, 0.0, 5e-324, 1e-310, 1e300])
+        matrix = np.where(rng.random((rows, 7)) < 0.1,
+                          rng.choice(pool, (rows, 7)) * rng.choice([-1.0, 1.0], (rows, 7)),
+                          rng.standard_normal((rows, 7)) * 0.05)
+        words = [f"w{i}" for i in range(rows)]
+        path = tmp_path / "space.vec"
+        save_text_embeddings(EmbeddingSpace(words, matrix), path)
+        assert path.read_bytes() == _per_component_text(words, matrix)
 
     @settings(max_examples=60, deadline=None)
     @given(tokens=st.lists(st.lists(_FINITE_TOKEN, min_size=3, max_size=3),

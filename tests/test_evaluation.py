@@ -457,6 +457,19 @@ def threads(monkeypatch, n):
     monkeypatch.setattr(evaluation, "_chunk_threads", lambda: n)
 
 
+def test_row_blocks_of_a_product_are_bit_identical():
+    # Result files do not depend on the number of usable CPUs only because
+    # the running BLAS gives each chunk's rows of a score product the bits
+    # of the same rows of the whole product; a BLAS that breaks it fails here.
+    rng = np.random.default_rng(6)
+    queries = rng.standard_normal((2 * evaluation._SCORE_CHUNK, 300))
+    vocab = rng.standard_normal((5000, 300))
+    whole = queries @ vocab.T
+    for start in range(0, len(queries), evaluation._SCORE_CHUNK):
+        rows = slice(start, start + evaluation._SCORE_CHUNK)
+        assert np.array_equal(queries[rows] @ vocab.T, whole[rows])
+
+
 class TestChunkThreads:
     """Retrieval chunks scored on two threads give the serial results."""
 

@@ -172,6 +172,35 @@ class TestInvariants:
                            match=exactly("grammatical_masculine: invalid word '   '")):
             GenderLexicon(grammatical_masculine=["   "])
 
+    @pytest.mark.parametrize("name, entries, message", [
+        ("definitional_pairs", [["a", "b"], 1], "entry 1 is not an array of words: 1"),
+        ("definitional_pairs", ["ab"], "entry 0 is not an array of words: 'ab'"),
+        ("occupation_pairs", [5], "entry 0 is not an array of words: 5"),
+        ("occupation_pairs", [{"m": "x"}], "entry 0 is not an array of words: {'m': 'x'}"),
+        ("adjective_pairs", ["abc"], "entry 0 is not an array of words: 'abc'"),
+        ("definitional_pairs", [["a", 1]], "invalid word 1"),
+    ])
+    def test_entries_must_be_arrays_of_words(self, name, entries, message):
+        with pytest.raises(LexiconError, match=exactly(f"{name}: {message}")):
+            GenderLexicon(**{name: entries})
+
+    @pytest.mark.parametrize("name, value", [
+        ("inanimate_nouns", "pared"), ("definitional_pairs", 5),
+        ("definitional_pairs", {("a", "b"): 1}),
+    ])
+    def test_fields_must_be_lists(self, name, value):
+        with pytest.raises(LexiconError, match=exactly(f"field {name!r} must be a list")):
+            GenderLexicon(**{name: value})
+
+    @pytest.mark.parametrize("args, bad", [
+        (("", "x"), "''"), (("x", "y", 7), "7"), (("x", "y", " "), "' '"),
+        ((None, "y"), "None"),
+    ])
+    def test_occupation_pair_objects_validated(self, args, bad):
+        with pytest.raises(LexiconError, match=exactly(
+                f"occupation_pairs: invalid word {bad}")):
+            GenderLexicon(occupation_pairs=[OccupationPair(*args)])
+
     def test_empty_lexicon_is_valid(self):
         # attribute emptiness is checked where scores are computed, not here
         lex = GenderLexicon()

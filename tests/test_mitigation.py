@@ -11,6 +11,7 @@ import oracles
 from conftest import small_space
 from gendebias import (
     BiasQuery,
+    BilingualDictionary,
     BilingualSpace,
     EmbeddingSpace,
     EnglishDebiasConfig,
@@ -538,6 +539,33 @@ class TestProcrustes:
         target = EmbeddingSpace(space.words, space.matrix @ q.T)
         w = procrustes_matrix(space, target, identity_dictionary(space, target))
         assert np.max(np.abs(w @ w.T - np.eye(7))) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12),
+           extra_words=st.integers(0, 30), data=st.data())
+    def test_rotation_keeps_every_cosine(self, seed, dim, extra_words, data):
+        # random spaces and a random seed dictionary; the six English
+        # definitional words keep their gender component through
+        # hard-debiasing, so seed pairs onto them keep the cross-covariance
+        # full rank
+        rng = np.random.default_rng(seed)
+        n = dim + 6 + extra_words
+        source = EmbeddingSpace([f"s{i}" for i in range(n)], rng.standard_normal((n, dim)))
+        english = EmbeddingSpace([f"e{i}" for i in range(n)], rng.standard_normal((n, dim)))
+        n_pairs = data.draw(st.integers(dim, n - 6), label="n_pairs")
+        targets = np.concatenate([np.arange(6), 6 + rng.permutation(n - 6)[:n_pairs]])
+        seed_dict = BilingualDictionary(
+            (f"s{i}", f"e{j}") for i, j in zip(rng.permutation(n), targets))
+
+        r = procrustes_matrix(source, english, seed_dict)
+        assert np.max(np.abs(r.T @ r - np.eye(dim))) <= 1e-12
+
+        lex = GenderLexicon(definitional_pairs=[("e0", "e1"), ("e2", "e3"), ("e4", "e5")])
+        cfg = EnglishDebiasConfig.from_lexicon(lex, equalize_pairs=[])
+        aligned = mitigate_de_align(source, english, seed_dict, cfg).source
+        units = [s.matrix / s.row_norms()[:, None] for s in (source, aligned)]
+        cosines = [u @ u.T for u in units]
+        assert np.max(np.abs(cosines[1] - cosines[0])) <= 1e-12
 
     def test_too_few_seed_pairs(self):
         space = small_space(4, 6, seed=7)
