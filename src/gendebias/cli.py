@@ -11,12 +11,15 @@ reported as ``error: out of memory: ...``), 2 I/O error.
 
 Each ``.vec`` input is parsed once per content: after a parse the CLI
 writes a sidecar ``<input>.gdcache.npz`` beside it, holding the words, the
-float64 matrix and the duplicate count exactly as parsed, keyed by a
-cache-format version, the input's sha256 and ``--max-words``.  A later run
-whose key matches reads the sidecar instead of the text; any other sidecar
-(stale, foreign, unreadable) is ignored and rewritten.  Sidecars are never
-required, never change an output, exit code or message, and are safe to
-delete.  An input that is not a regular file (a pipe) is parsed as given.
+unit-normalized float64 matrix the CLI works on and the duplicate count,
+keyed by a cache-format version, the input's sha256 and ``--max-words``.  A
+later run whose key matches reads the sidecar instead of the text and
+checks its rows' unit norms, the check a normalized space makes anyway; any
+other sidecar (stale, foreign, unreadable, not unit-norm, or a version-1
+sidecar, which held the raw matrix) is ignored and rewritten once.
+Sidecars are never required, never change an output, exit code or message,
+and are safe to delete.  An input that is not a regular file (a pipe) is
+parsed as given.
 """
 
 from __future__ import annotations
@@ -52,11 +55,12 @@ logger = logging.getLogger(__name__)
 
 _BILINGUAL_METHODS = ("shift_en", "de_align", "hybrid_ori", "hybrid_en")
 
-# A parsed .vec is kept in <input>.gdcache.npz.  Bump _CACHE_VERSION whenever
-# load_text_embeddings would read some file differently, so that sidecars
-# written before stop matching.
+# A parsed .vec is kept, unit-normalized, in <input>.gdcache.npz.  Bump
+# _CACHE_VERSION whenever the space _load_space returns for some file would
+# change, so that sidecars written before stop matching.  Version 1 held the
+# raw parsed matrix.
 _CACHE_SUFFIX = ".gdcache.npz"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,17 +133,19 @@ def _load_space(args, path):
     cached = _read_sidecar(sidecar, key)
     if cached is None:
         space, duplicates = _read_text_embeddings(path, args.max_words)
+        space = unit_normalize(space)
         _write_sidecar(path, before, sidecar, key, space, duplicates)
     else:
         space, duplicates = cached
     _log_duplicates(path, duplicates)
-    return unit_normalize(space)
+    return space
 
 
 def _read_sidecar(sidecar: Path, key: str):
-    """(space, duplicate count) from a sidecar whose key is ``key``, else
-    None.  Whatever is wrong with a sidecar (missing, unreadable, foreign,
-    stale, invalid) makes it a miss, since the parse is always right."""
+    """(unit-normalized space, duplicate count) from a sidecar whose key is
+    ``key``, else None.  Whatever is wrong with a sidecar (missing,
+    unreadable, foreign, stale, invalid, rows not of unit norm) makes it a
+    miss, since the parse is always right."""
     try:
         with np.load(sidecar, allow_pickle=False) as npz:
             if npz["key"].item() != key:
@@ -150,7 +156,7 @@ def _read_sidecar(sidecar: Path, key: str):
                     or duplicates < 0):
                 return None
             words = bytes(words).decode("utf-8").split("\n")
-            return EmbeddingSpace(words, matrix), int(duplicates)
+            return EmbeddingSpace(words, matrix, normalized=True), int(duplicates)
     except Exception as e:
         logger.debug("%s: sidecar not used: %r", sidecar, e)
         return None

@@ -23,6 +23,9 @@ NORM_TOL = 1e-6
 # whatever the block's height.
 _PARTITION_ROWS = 16
 
+# Components per step of a row-norm pass: the squares stay in cache.
+_NORM_BLOCK = 1 << 16
+
 # numpy's message for a field np.loadtxt cannot convert; ``row`` counts the
 # lines fed to it from 0.
 _LOADTXT_ERROR = re.compile(
@@ -64,7 +67,22 @@ class EmbeddingSpace:
         words = tuple(words)
         if not words:
             raise ValueError("embedding space needs at least one word")
-        mat = np.array(matrix, dtype=np.float64, copy=True)
+        index: dict[str, int] = {}
+        for i, w in enumerate(words):
+            if not isinstance(w, str) or not w:
+                raise ValueError(f"invalid word at position {i}: {w!r}")
+            if w in index:
+                raise ValueError(f"duplicate word in space: {w!r}")
+            index[w] = i
+        self._set(words, index, [None], np.array(matrix, dtype=np.float64, copy=True),
+                  normalized, language_tag)
+
+    def _set(self, words: tuple[str, ...], index: dict[str, int], lex_rank: list,
+             mat: np.ndarray, normalized: bool, language_tag: str) -> None:
+        """Hold ``mat``, a float64 array no one else holds, on checked words
+        and their index; ``lex_rank`` is the one-item cache cell of their
+        tie-break ranks.  Checks the matrix; the norms of the ``normalized``
+        check become the row_norms() cache."""
         if mat.ndim != 2 or mat.shape[0] != len(words):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match {len(words)} words")
@@ -73,15 +91,9 @@ class EmbeddingSpace:
         if not np.all(np.isfinite(mat)):
             bad = int(np.argwhere(~np.isfinite(mat).all(axis=1))[0][0])
             raise ValueError(f"non-finite components in vector for {words[bad]!r}")
-        index: dict[str, int] = {}
-        for i, w in enumerate(words):
-            if not isinstance(w, str) or not w:
-                raise ValueError(f"invalid word at position {i}: {w!r}")
-            if w in index:
-                raise ValueError(f"duplicate word in space: {w!r}")
-            index[w] = i
+        norms = None
         if normalized:
-            norms = np.linalg.norm(mat, axis=1)
+            norms = _norms(mat)
             off = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0))
             if np.any(off > NORM_TOL):
                 bad = int(np.argmax(off))
@@ -93,8 +105,17 @@ class EmbeddingSpace:
         self._matrix = mat
         self.normalized = bool(normalized)
         self.language_tag = language_tag
-        self._row_norms: np.ndarray | None = None
-        self._lex_rank: np.ndarray | None = None
+        self._row_norms = norms
+        self._lex_rank = lex_rank
+
+    def _derive(self, mat: np.ndarray, *, normalized: bool) -> "EmbeddingSpace":
+        """Same vocabulary, its words, index and tie-break ranks shared, with
+        ``mat`` (a freshly computed float64 array that no one else holds and
+        the new space makes read-only) as its vectors."""
+        space = object.__new__(EmbeddingSpace)
+        space._set(self._words, self._index, self._lex_rank, mat, normalized,
+                   self.language_tag)
+        return space
 
     # -- basic protocol ----------------------------------------------------
 
@@ -133,27 +154,37 @@ class EmbeddingSpace:
         return np.array([self.index(w) for w in words], dtype=np.intp)
 
     def with_matrix(self, matrix, *, normalized: bool = False) -> "EmbeddingSpace":
-        """Same vocabulary, new vectors."""
-        return EmbeddingSpace(self._words, matrix, normalized=normalized,
-                              language_tag=self.language_tag)
+        """Same vocabulary, new vectors (a copy of ``matrix``)."""
+        return self._derive(np.array(matrix, dtype=np.float64, copy=True),
+                            normalized=normalized)
 
     # -- cached per-space tables --------------------------------------------
 
     def row_norms(self) -> np.ndarray:
         if self._row_norms is None:
-            self._row_norms = np.linalg.norm(self._matrix, axis=1)
-            self._row_norms.setflags(write=False)
+            self._row_norms = _norms(self._matrix)
         return self._row_norms
 
     def lex_rank(self) -> np.ndarray:
         # lex_rank[i] = position of words[i] in ascending lexicographic order,
-        # used as the deterministic tie-break key in retrieval.
-        if self._lex_rank is None:
+        # used as the deterministic tie-break key in retrieval; one cell for
+        # every space derived from the same words.
+        if self._lex_rank[0] is None:
             order = sorted(range(len(self._words)), key=lambda i: self._words[i])
             rank = np.argsort(order)  # the inverse permutation of order
             rank.setflags(write=False)
-            self._lex_rank = rank
-        return self._lex_rank
+            self._lex_rank[0] = rank
+        return self._lex_rank[0]
+
+
+def _norms(mat: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(mat, axis=1)``, bit for bit (each row is reduced on
+    its own), a block of rows at a time; read-only."""
+    norms = np.empty(len(mat))
+    for rows in _row_blocks(len(mat), max(1, _NORM_BLOCK // mat.shape[1])):
+        norms[rows] = np.linalg.norm(mat[rows], axis=1)
+    norms.setflags(write=False)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -324,16 +355,18 @@ def _log_duplicates(path, duplicates: int) -> None:
 # the space (a block holds whole rows, at least one).
 _FORMAT_BLOCK = 1 << 14
 
-# 10**(9 - e) is exact in float64 for |9 - e| <= 22; a carry adds one to e.
-# Every other magnitude, subnormals included, is formatted by Python.
-_EXP_MIN, _EXP_MAX = -13, 32
+# 10**(9 - e) is exact in float64 for |9 - e| <= 22, and a product of two
+# exact powers (10**22 and the rest) for |9 - e| <= 44; a carry adds one to
+# e.  Every other magnitude, subnormals included, is formatted by Python.
+_EXP_MIN, _EXP_MAX = -35, 54
 _NEXP = _EXP_MAX - _EXP_MIN + 1
 _POW10 = np.array([float(10 ** p) for p in range(23)])
 
 # A scaled significand s = |x| * 10**(9 - e) is trusted when it lies in
 # [1e9, 9999999999] (no carry) and is not within 1e-5 of a rounding tie: its
-# float64 error is at most 1e10 * 2**-53, so rint(s) is then the correctly
-# rounded significand, and no exact tie ever needs dtoa's tie rule.
+# float64 error is at most 1e10 * 2**-53 after one scaling and about 2.3e-6
+# after two, so rint(s) is then the correctly rounded significand, and no
+# exact tie ever needs dtoa's tie rule.
 _S_MID, _S_HALF = 5499999999.5, 4499999999.5
 _TIE_BAND = 0.5 - 1e-5
 
@@ -413,13 +446,18 @@ def _slot_tables():
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     """``a * 10**(9 - e)`` by one correctly rounded multiplication or
-    division by an exact power of ten; NaN where no such power exists."""
+    division by an exact power of ten, or for 22 < |9 - e| <= 44 by 10**22
+    and then by the remaining power; NaN where |9 - e| > 44."""
     p = 9 - e
-    s = np.full(a.shape, np.nan)
-    up = (p >= 0) & (p <= 22)
-    down = (p < 0) & (p >= -22)
-    s[up] = a[up] * _POW10[p[up]]
-    s[down] = a[down] / _POW10[-p[down]]
+    q = np.abs(p)
+    two = q > 22
+    first = np.where(two, _POW10[22], 1.0)
+    rest = _POW10[np.minimum(q - 22 * two, 22)]
+    up = p >= 0
+    s = np.empty(a.shape)
+    s[up] = a[up] * first[up] * rest[up]
+    s[~up] = a[~up] / first[~up] / rest[~up]
+    s[q > 44] = np.nan
     return s
 
 
@@ -449,9 +487,9 @@ def _format_rows(block: np.ndarray) -> tuple[bytearray, np.ndarray]:
     odd = np.flatnonzero(odd)
     fallback = odd[:0]
     if odd.size:
-        # |x| >= 1e10 divided by an exact power of ten and carries resolved;
-        # ties, exponents misestimated near a power of ten and magnitudes
-        # without an exact power are formatted by Python
+        # |x| >= 1e10 and |9 - e| > 22 scaled by exact powers of ten and
+        # carries resolved; ties, exponents misestimated near a power of ten
+        # and magnitudes beyond two exact powers are formatted by Python
         e = ei[odd] - 324
         so = _scaled(a[odd], e)
         mo = np.rint(so)
@@ -514,9 +552,10 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     _FORMAT_BLOCK components (whole rows, at least one) are converted at
     once by numpy: the 10-digit significand is ``rint`` of the component
     scaled by an exact power of ten, which is the correctly rounded one
-    unless it lies within 1e-5 of a rounding tie; such components, and
-    magnitudes outside about [1e-13, 1e32] (no exact power), are formatted
-    by Python.  Raises ValueError naming the word,
+    unless it lies within 1e-5 of a rounding tie; magnitudes outside about
+    [1e-13, 1e32] are scaled by two exact powers (10**22 and the rest), and
+    ties and magnitudes outside about [1e-35, 1e54] are formatted by
+    Python.  Raises ValueError naming the word,
     before writing anything, if a word holds a space, ``\\n`` or ``\\r`` (the
     loader would split it), if a word cannot be encoded as UTF-8 (it holds a
     lone surrogate), or if ``%.10g`` would round a component past the
@@ -556,7 +595,7 @@ def unit_normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     zero."""
     norms = space.row_norms()
     scale = np.where(norms == 0.0, 1.0, norms)
-    return space.with_matrix(space.matrix / scale[:, None], normalized=True)
+    return space._derive(space.matrix / scale[:, None], normalized=True)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -586,10 +625,9 @@ def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _row_blocks(n: int):
-    """Slices of at most _PARTITION_ROWS rows that cover ``range(n)`` in order."""
-    return (slice(start, start + _PARTITION_ROWS)
-            for start in range(0, n, _PARTITION_ROWS))
+def _row_blocks(n: int, rows: int = _PARTITION_ROWS):
+    """Slices of at most ``rows`` rows that cover ``range(n)`` in order."""
+    return (slice(start, start + rows) for start in range(0, n, rows))
 
 
 def _top_rows(scores: np.ndarray, lex_rank: np.ndarray, k: int) -> np.ndarray:

@@ -163,7 +163,7 @@ def _shift_outcome(method: str, space: "EmbeddingSpace | BilingualSpace",
     _shift_rows(matrix, masc, fem, values, d_s)
     _neutralize_rows(matrix, nouns, d_s, source.words)
     residual = _pair_residuals(matrix, masc, fem, values, d_s)
-    new_source = source.with_matrix(matrix, normalized=False)
+    new_source = source._derive(matrix, normalized=False)
     return MitigationOutcome(
         method=method,
         space=BilingualSpace(new_source, space.target) if bilingual else new_source,
@@ -271,7 +271,7 @@ def hard_debias_english(space: EmbeddingSpace,
         sign = 1.0 if side > 0.0 else -1.0
         matrix[im] = nu + sign * spread * d_en
         matrix[iff] = nu - sign * spread * d_en
-    return space.with_matrix(matrix, normalized=True)
+    return space._derive(matrix, normalized=True)
 
 
 def procrustes_matrix(source: EmbeddingSpace, target: EmbeddingSpace,
@@ -306,8 +306,7 @@ def procrustes_align(source: EmbeddingSpace, target: EmbeddingSpace,
     """Rotate the source space onto the target with the seed-pair solution.
     Pure rotation: norms and all within-source cosines are preserved."""
     w = procrustes_matrix(source, target, seed_dict)
-    rotated = source.with_matrix(source.matrix @ w.T,
-                                 normalized=source.normalized)
+    rotated = source._derive(source.matrix @ w.T, normalized=source.normalized)
     return BilingualSpace(rotated, target)
 
 

@@ -1,22 +1,28 @@
 import argparse
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import logging
 import os
 import re
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gendebias.cli
 import gendebias.evaluation
-from gendebias import (EnglishDebiasConfig, GenderLexicon, lexicon_to_json_dict,
-                       load_text_embeddings, save_text_embeddings, unit_normalize)
+from gendebias import (EmbeddingSpace, EnglishDebiasConfig, GenderLexicon,
+                       lexicon_to_json_dict, load_text_embeddings,
+                       save_text_embeddings, unit_normalize)
 from gendebias.cli import main
 
 # The flags each subcommand reads, and so the only ones it accepts.
@@ -645,7 +651,8 @@ class TestSidecar:
     @pytest.mark.parametrize("damage", [
         "edited input", "other max-words", "truncated", "garbage", "foreign",
         "object array", "plain npy", "float32 matrix", "row count",
-        "non-finite row", "negative duplicates"])
+        "non-finite row", "negative duplicates", "rows not unit length",
+        "version 1 raw matrix"])
     def test_damaged_or_stale_sidecar_is_a_miss(self, files, tmp_path, capsys,
                                                 parses, damage):
         src, sidecar = files["src"], self.sidecar(files["src"])
@@ -680,6 +687,13 @@ class TestSidecar:
         elif damage == "non-finite row":
             damaged = {**good, "matrix": good["matrix"].copy()}
             damaged["matrix"][3, 0] = np.nan
+        elif damage == "rows not unit length":
+            damaged = {**good, "matrix": good["matrix"] * 2.0}
+        elif damage == "version 1 raw matrix":
+            # what the first sidecar format held: the parse, not normalized
+            key = good["key"].item().replace("gendebias-vec/2 ", "gendebias-vec/1 ")
+            damaged = {**good, "key": np.array(key),
+                       "matrix": load_text_embeddings(src).matrix}
         else:
             damaged = {**good, "duplicates": np.array(-1, dtype=np.int64)}
         if damaged is not None:
@@ -695,7 +709,7 @@ class TestSidecar:
         max_words = 400 if damage == "other max-words" else None
         want = unit_normalize(load_text_embeddings(src, max_words=max_words))
         with np.load(sidecar, allow_pickle=False) as npz:
-            assert npz["matrix"].shape[0] == len(want)
+            assert npz["matrix"].tobytes() == want.matrix.tobytes()
             if damage not in ("edited input", "other max-words"):
                 assert npz["key"] == good["key"]
         got = gendebias.cli._load_space(
@@ -829,3 +843,85 @@ class TestSidecar:
         self.run(["eval-translation", "--embeddings", same, "--embeddings-en", same,
                   "--dict", str(identity), "--out", str(tmp_path / "t.json")], capsys)
         assert hashed == {files["src"]: 1, identity: 1}
+
+
+# One edit of a file's bytes: (kind, where as a fraction of the span edited,
+# bytes removed, bytes put in).
+_BYTE_EDITS = st.tuples(
+    st.sampled_from(["replace", "delete", "insert", "truncate"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 8),
+    st.one_of(st.binary(min_size=1, max_size=6),
+              st.sampled_from([b"\xff", b"\xc3", b"\n", b" ", b"  ", b"0", b"-",
+                               b"9", b"e999", b"nan", b"\x00", b"PK\x03\x04"])))
+
+
+def _edit(blob: bytes, lo: int, hi: int, edit) -> bytes:
+    """``blob`` with one edit placed in ``blob[lo:hi]``."""
+    kind, where, size, data = edit
+    at = lo + int(where * (hi - lo))
+    if kind == "replace":
+        return blob[:at] + data + blob[at + len(data):]
+    if kind == "delete":
+        return blob[:at] + blob[at + size:]
+    if kind == "insert":
+        return blob[:at] + data + blob[at:]
+    return blob[:at]
+
+
+class TestMutatedVec:
+    """Damaged .vec and sidecar bytes end in a documented exit code and an
+    ``error:`` line, never a traceback; a damaged sidecar never changes a
+    result."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mutated")
+        rng = np.random.default_rng(3)
+        words = ["ñandú", "casa", "árbol", "perro", "gato", "sol", "luna", "mar",
+                 "río", "pan", "té", "flor"]
+        vec = root / "s.vec"
+        save_text_embeddings(EmbeddingSpace(words, rng.standard_normal((12, 4))), vec)
+        dataset = root / "sim.tsv"
+        dataset.write_text("".join(f"{a}\t{b}\t{i + 1}.5\n" for i, (a, b) in
+                                   enumerate(zip(words[::2], words[1::2]))),
+                           encoding="utf-8")
+        out = root / "clean.json"
+        assert main(self.argv(vec, dataset, out)) == 0
+        sidecar = vec.with_name(vec.name + ".gdcache.npz")
+        return {"vec": vec.read_bytes(), "sidecar": sidecar.read_bytes(),
+                "dataset": dataset, "out": out.read_bytes()}
+
+    @staticmethod
+    def argv(vec, dataset, out):
+        return ["eval-similarity", "--embeddings", str(vec), "--dataset", str(dataset),
+                "--out", str(out)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.sampled_from(["header", "body", "sidecar"]), edit=_BYTE_EDITS)
+    def test_mutation_exits_with_an_error_line(self, clean, target, edit):
+        vec_bytes, sidecar_bytes = clean["vec"], clean["sidecar"]
+        header = vec_bytes.index(b"\n") + 1
+        if target == "header":
+            vec_bytes = _edit(vec_bytes, 0, header, edit)
+        elif target == "body":
+            vec_bytes = _edit(vec_bytes, header, len(vec_bytes), edit)
+        else:
+            sidecar_bytes = _edit(sidecar_bytes, 0, len(sidecar_bytes), edit)
+        with tempfile.TemporaryDirectory() as tmp:
+            vec, out = Path(tmp) / "s.vec", Path(tmp) / "out.json"
+            vec.write_bytes(vec_bytes)
+            # stale after a .vec edit, damaged after a sidecar edit
+            vec.with_name(vec.name + ".gdcache.npz").write_bytes(sidecar_bytes)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(self.argv(vec, clean["dataset"], out))
+            err = stderr.getvalue()
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            if code:
+                assert err.splitlines()[-1].startswith("error:"), err
+            if target == "sidecar":
+                assert code == 0, err
+                assert out.read_bytes() == clean["out"]

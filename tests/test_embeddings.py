@@ -439,6 +439,24 @@ class TestTextFormat:
         save_text_embeddings(EmbeddingSpace(words, matrix), path)
         assert path.read_bytes() == _per_component_text(words, matrix)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_writer_matches_per_component_format_on_log_uniform_magnitudes(
+            self, tmp_path, seed):
+        # 1e-35 .. 1e54 take two exact scalings in the numpy kernel; the rest
+        # of [1e-40, 1e60] is formatted by Python; both signs
+        rng = np.random.default_rng(seed)
+        magnitudes = 10.0 ** rng.uniform(-40.0, 60.0, (300, 40))
+        powers = 10.0 ** rng.integers(-40, 61, (300, 40)).astype(np.float64)
+        steps = rng.integers(-2, 3, (300, 40))
+        near = np.where(steps < 0, np.nextafter(powers, 0.0),
+                        np.where(steps > 0, np.nextafter(powers, np.inf), powers))
+        matrix = np.where(rng.random((300, 40)) < 0.2, near, magnitudes)
+        matrix *= rng.choice([-1.0, 1.0], matrix.shape)
+        words = [f"w{i}" for i in range(len(matrix))]
+        path = tmp_path / "space.vec"
+        save_text_embeddings(EmbeddingSpace(words, matrix), path)
+        assert path.read_bytes() == _per_component_text(words, matrix)
+
     @settings(max_examples=60, deadline=None)
     @given(tokens=st.lists(st.lists(_FINITE_TOKEN, min_size=3, max_size=3),
                            min_size=1, max_size=5))
@@ -499,6 +517,50 @@ class TestDerivedCaches:
     def test_row_norms(self):
         space = EmbeddingSpace(["a", "b"], [[3.0, 4.0], [0.0, 2.0]])
         assert np.allclose(space.row_norms(), [5.0, 2.0])
+
+    @pytest.mark.parametrize("dim", [1, 37, 129, 300, 70_000])
+    def test_row_norms_have_the_bits_of_a_fresh_norm(self, dim):
+        # rows span several norm blocks, the last one short
+        rng = np.random.default_rng(dim)
+        rows = max(3, 3 * embeddings._NORM_BLOCK // dim + 5)
+        matrix = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        raw = EmbeddingSpace([f"w{i}" for i in range(rows)], matrix)
+        unit = unit_normalize(raw)
+        declared = EmbeddingSpace(raw.words, unit.matrix, normalized=True)
+        for space in (raw, unit, declared, unit.with_matrix(unit.matrix, normalized=True)):
+            want = np.linalg.norm(space.matrix, axis=1)
+            assert space.row_norms().tobytes() == want.tobytes()
+            assert not space.row_norms().flags.writeable
+
+    @pytest.mark.parametrize("derive", ["constructor", "with_matrix"])
+    def test_callers_array_stays_writable_and_unshared(self, derive):
+        matrix = np.array([[1.0, 0.0], [0.0, 1.0]])
+        if derive == "constructor":
+            space = EmbeddingSpace(["a", "b"], matrix, normalized=True)
+        else:
+            space = EmbeddingSpace(["a", "b"], np.eye(2)).with_matrix(matrix, normalized=True)
+        assert matrix.flags.writeable
+        matrix[0, 0] = 5.0
+        assert space.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert space.row_norms().tolist() == [1.0, 1.0]
+
+    def test_derived_space_shares_lex_rank(self):
+        space = EmbeddingSpace(["c", "a", "b"], np.eye(3) * 2.0)
+        unit = unit_normalize(space)           # derived before either computes it
+        rank = unit.lex_rank()
+        assert space.lex_rank() is rank
+        assert space.with_matrix(np.ones((3, 3))).lex_rank() is rank
+        assert unit_normalize(unit).lex_rank() is rank
+
+    @pytest.mark.parametrize("derive", ["constructor", "with_matrix"])
+    def test_failed_normalized_declaration_keeps_its_message(self, derive):
+        matrix = [[1.0, 0.0], [0.0, 2.0]]
+        message = re.escape("space declared normalized but ||'b'|| = 2.00000000")
+        with pytest.raises(ValueError, match=message):
+            if derive == "constructor":
+                EmbeddingSpace(["a", "b"], matrix, normalized=True)
+            else:
+                EmbeddingSpace(["a", "b"], np.eye(2)).with_matrix(matrix, normalized=True)
 
     def test_lex_rank_orders_words(self):
         space = EmbeddingSpace(["c", "a", "b"], np.eye(3))

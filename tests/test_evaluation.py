@@ -470,6 +470,26 @@ def test_row_blocks_of_a_product_are_bit_identical():
         assert np.array_equal(queries[rows] @ vocab.T, whole[rows])
 
 
+def test_a_chunk_scores_the_same_on_a_worker_thread(monkeypatch):
+    # Result files do not depend on the number of usable CPUs because chunk
+    # boundaries sit at fixed multiples of _SCORE_CHUNK and a chunk's product
+    # has the same bits whichever thread computes it.  6,593 (the benchmark's
+    # English vocabulary) is an odd width, where a chunk's rows need not have
+    # the bits of the same rows of one product over all queries.
+    threads(monkeypatch, 2)
+    rng = np.random.default_rng(6)
+    queries = rng.standard_normal((2 * evaluation._SCORE_CHUNK, 300))
+    vocab = rng.standard_normal((6593, 300))
+    main = threading.current_thread()
+
+    def score(rows):
+        assert threading.current_thread() is not main
+        return rows, queries[rows] @ vocab.T
+
+    for rows, scores in evaluation._map_chunks(score, len(queries)):
+        assert np.array_equal(scores, queries[rows] @ vocab.T)
+
+
 class TestChunkThreads:
     """Retrieval chunks scored on two threads give the serial results."""
 
