@@ -19,7 +19,12 @@ other sidecar (stale, foreign, unreadable, not unit-norm, or a version-1
 sidecar, which held the raw matrix) is ignored and rewritten once.
 Sidecars are never required, never change an output, exit code or message,
 and are safe to delete.  An input that is not a regular file (a pipe) is
-parsed as given.
+parsed as given.  ``mitigate`` writes a sidecar beside each ``.vec`` it
+writes, the one a later miss without ``--max-words`` would build, so the
+next step reads that file without a parse.
+
+Result files go to a temporary file beside their target and are then
+renamed into place, so a failed step leaves no partial file.
 """
 
 from __future__ import annotations
@@ -31,15 +36,16 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .directions import (DEFAULT_RIDGE, bilingual_directions, build_directions)
-from .embeddings import (BilingualSpace, EmbeddingSpace, _log_duplicates,
-                         _read_text_embeddings, load_text_embeddings,
-                         save_text_embeddings, unit_normalize)
+from .embeddings import (BilingualSpace, EmbeddingSpace, _log_duplicates, _norms,
+                         _read_text_embeddings, _write_text, load_text_embeddings,
+                         unit_normalize)
 from .evaluation import (export_projections, pair_translation_eval,
                          word_similarity_eval, word_translation_eval,
                          write_projections_csv, write_translation_csv)
@@ -115,10 +121,35 @@ def _digest_of(config: dict) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
+@contextmanager
+def _replacing(target: Path, suffix: str = ""):
+    """A temporary path beside ``target`` (whose name ends in ``suffix``) for
+    the block to write, moved onto ``target`` when the block succeeds and
+    removed otherwise, so a reader sees the old file or the whole new one.
+    A target that is a link or a non-regular file (/dev/stdout, a pipe) is
+    written as given."""
+    if target.is_symlink() or target.exists() and not target.is_file():
+        yield target
+        return
+    stem = target.name.removesuffix(suffix)
+    tmp = target.with_name(f"{stem}.tmp-{os.urandom(4).hex()}{suffix}")
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    # NaN and infinities are not JSON: refuse them rather than write them
+    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
+    with _replacing(Path(path)) as tmp:
+        tmp.write_text(text, encoding="utf-8")
+
+
+def _cache_key(digest: str | None, max_words: int | None) -> str:
+    return f"gendebias-vec/{_CACHE_VERSION} {digest} {max_words}"
 
 
 def _load_space(args, path):
@@ -128,7 +159,7 @@ def _load_space(args, path):
     if not path.is_file():  # missing, or a pipe that cannot be read twice
         return unit_normalize(load_text_embeddings(path, max_words=args.max_words))
     before = path.stat()
-    key = f"gendebias-vec/{_CACHE_VERSION} {_digest(args, path)} {args.max_words}"
+    key = _cache_key(_digest(args, path), args.max_words)
     sidecar = path.with_name(path.name + _CACHE_SUFFIX)
     cached = _read_sidecar(sidecar, key)
     if cached is None:
@@ -172,19 +203,30 @@ def _write_sidecar(path: Path, before, sidecar: Path, key: str, space,
         after = path.stat()
         if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
             return
-        tmp = path.with_name(f"{path.name}.tmp-{os.urandom(4).hex()}{_CACHE_SUFFIX}")
-        try:
-            with open(tmp, "xb") as fh:
-                words = "\n".join(space.words).encode("utf-8")
-                np.savez(fh, key=np.array(key),
-                         words=np.frombuffer(words, dtype=np.uint8),
-                         matrix=space.matrix,
-                         duplicates=np.array(duplicates, dtype=np.int64))
-            os.replace(tmp, sidecar)
-        finally:
-            tmp.unlink(missing_ok=True)
+        with _replacing(sidecar, _CACHE_SUFFIX) as tmp, open(tmp, "xb") as fh:
+            words = "\n".join(space.words).encode("utf-8")
+            np.savez(fh, key=np.array(key),
+                     words=np.frombuffer(words, dtype=np.uint8),
+                     matrix=space.matrix,
+                     duplicates=np.array(duplicates, dtype=np.int64))
     except OSError as e:
         logger.debug("%s: sidecar not written: %s", sidecar, e)
+
+
+def _save_space(space: EmbeddingSpace, path: Path) -> None:
+    """Write ``space`` to ``path`` whole or not at all, then beside it the
+    sidecar a later full read of ``path`` would write: the writer's read-back
+    of the bytes it wrote, unit-normalized, keyed by their sha256, so that
+    read is a hit."""
+    unit = np.empty(space.matrix.shape)
+    with _replacing(path) as tmp:
+        digest = _write_text(space, tmp, unit)
+    before = path.stat()
+    norms = _norms(unit)
+    unit /= np.where(norms == 0.0, 1.0, norms)[:, None]   # as unit_normalize
+    unit = space._derive(unit, normalized=True)
+    _write_sidecar(path, before, path.with_name(path.name + _CACHE_SUFFIX),
+                   _cache_key(digest, None), unit, 0)
 
 
 def _require(args, *names):
@@ -273,9 +315,9 @@ def cmd_mitigate(args):
             outcome = mitigate_hybrid(space, en_space, lex, variant, seed_dict,
                                       en_config, ridge=args.ridge, seed=args.seed)
 
-    save_text_embeddings(outcome.source_space, out_dir / "source.vec")
+    _save_space(outcome.source_space, out_dir / "source.vec")
     if isinstance(outcome.space, BilingualSpace):
-        save_text_embeddings(outcome.space.target, out_dir / "english.vec")
+        _save_space(outcome.space.target, out_dir / "english.vec")
     payload = {**outcome.to_json_dict(), **extra}
     _write_json(out_dir / "outcome.json", {"config": config, "outcome": payload})
     dirs = outcome.directions
@@ -307,9 +349,9 @@ def cmd_eval_translation(args):
     config = _config_block(args)
     report = dataclasses.replace(report, config_digest=_digest_of(config))
     _write_json(args.out, {"config": config, "report": report.to_json_dict()})
-    details_path = str(args.out) + ".details.csv"
-    write_translation_csv(report.details, details_path,
-                          meta=f"config_digest={report.config_digest}")
+    with _replacing(Path(str(args.out) + ".details.csv")) as tmp:
+        write_translation_csv(report.details, tmp,
+                              meta=f"config_digest={report.config_digest}")
     print(f"wrote {args.out}: p_at_1={report.metrics['p_at_1']:.1f} "
           f"p_at_5={report.metrics['p_at_5']:.1f} coverage={report.coverage:.3f}")
 
@@ -359,7 +401,8 @@ def cmd_export_projections(args):
                 annotated.extend(zip(forms, group))
     rows, skipped = export_projections(space, annotated, dirs)
     config = _config_block(args)
-    write_projections_csv(rows, args.out, meta=f"config_digest={_digest_of(config)}")
+    with _replacing(Path(args.out)) as tmp:
+        write_projections_csv(rows, tmp, meta=f"config_digest={_digest_of(config)}")
     print(f"wrote {args.out}: {len(rows)} rows ({len(skipped)} skipped)")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import hashlib
 import itertools
 import logging
 import re
@@ -461,9 +462,12 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     return s
 
 
-def _format_rows(block: np.ndarray) -> tuple[bytearray, np.ndarray]:
+def _format_rows(block: np.ndarray,
+                 readback: np.ndarray | None = None) -> tuple[bytearray, np.ndarray]:
     """The bytes ``" c1 c2 ... c_dim\\n"`` of each row of ``block``, every
-    component as ``f"{c:.10g}"`` spells it, and the byte count of each row."""
+    component as ``f"{c:.10g}"`` spells it, and the byte count of each row.
+    With ``readback`` (an array of ``block``'s shape), also fill it with
+    ``float`` of each component's token, the value the loader reads."""
     rows, dim = block.shape
     x = block.ravel()
     a = np.abs(x)
@@ -542,6 +546,22 @@ def _format_rows(block: np.ndarray) -> tuple[bytearray, np.ndarray]:
         widths[fallback] = np.count_nonzero(tokens, axis=1) + 1
     lengths = widths.reshape(rows, dim).sum(axis=1)
     lengths += 1
+    if readback is not None:
+        # A token is m * 10**p with p = e - 9 and m < 2**53, so m is exact in
+        # float64, and so is 10**|p| for |p| <= 22: one IEEE multiplication
+        # or division then rounds m * 10**p correctly, which makes it
+        # float(token) (Clinger's fast path).  Rounding is symmetric, so the
+        # sign is copied from x, and a zero reads back as itself.  Tokens
+        # with |p| > 22 and those Python formatted are read as the loader
+        # reads them.
+        p = ei - (324 + 9)
+        power = _POW10[np.minimum(np.abs(p), 22)]
+        value = np.copysign(np.where(p >= 0, m * power, m / power), x)
+        value[zero] = x[zero]
+        slow = np.union1d(np.flatnonzero(np.abs(p) > 22), fallback)
+        value[slow] = [float(t) for t in
+                       ("%.10g " * slow.size % tuple(x[slow].tolist())).split()]
+        readback[...] = value.reshape(rows, dim)
     return out.translate(None, b"\0"), lengths
 
 
@@ -560,6 +580,14 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     loader would split it), if a word cannot be encoded as UTF-8 (it holds a
     lone surrogate), or if ``%.10g`` would round a component past the
     float64 maximum (the loader reads that token as inf)."""
+    _write_text(space, path)
+
+
+def _write_text(space: EmbeddingSpace, path,
+                readback: np.ndarray | None = None) -> str | None:
+    """save_text_embeddings.  With ``readback`` (a float64 array of the
+    matrix's shape), also fill it with the matrix load_text_embeddings reads
+    from the file written, and return the sha256 of the bytes written."""
     bad = next((w for w in space.words if " " in w or "\n" in w or "\r" in w), None)
     if bad is not None:
         raise ValueError(f"cannot write {bad!r}: a word in the text format cannot "
@@ -576,18 +604,26 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     if over.any():
         raise ValueError(f"cannot write {space.words[int(np.argmax(over))]!r}: %.10g "
                          "rounds one of its components past the float64 maximum")
+    header = f"{len(space)} {space.dim}\n".encode()
+    digest = None if readback is None else hashlib.sha256(header)
     rows = max(1, _FORMAT_BLOCK // space.dim)
     with Path(path).open("wb") as fh:
-        fh.write(f"{len(space)} {space.dim}\n".encode())
+        fh.write(header)
         for start in range(0, len(space), rows):
-            body, lengths = _format_rows(space.matrix[start:start + rows])
+            block = slice(start, start + rows)
+            body, lengths = _format_rows(space.matrix[block],
+                                         None if readback is None else readback[block])
             view = memoryview(body)
             parts = []
             end = 0
-            for word, length in zip(space.words[start:start + rows], lengths.tolist()):
+            for word, length in zip(space.words[block], lengths.tolist()):
                 parts += (word.encode(), view[end:end + length])
                 end += length
-            fh.write(b"".join(parts))
+            data = b"".join(parts)
+            fh.write(data)
+            if digest is not None:
+                digest.update(data)
+    return None if digest is None else digest.hexdigest()
 
 
 def unit_normalize(space: EmbeddingSpace) -> EmbeddingSpace:

@@ -62,7 +62,8 @@ def word_similarity_eval(space: EmbeddingSpace,
                          dataset: Sequence[tuple[str, str, float]],
                          ) -> EvalReport:
     """Pearson correlation between model cosines and human scores over the
-    covered rows of a similarity dataset (a zero vector leaves its row out)."""
+    covered rows of a similarity dataset (a zero vector leaves its row out).
+    Raises ValueError when either column is constant (r is undefined)."""
     if not dataset:
         raise ValueError("empty similarity dataset")
     model, human = [], []
@@ -76,6 +77,10 @@ def word_similarity_eval(space: EmbeddingSpace,
     if len(model) < MIN_SIMILARITY_ROWS:
         raise ValueError(f"only {len(model)} of {len(dataset)} rows covered; "
                          f"need at least {MIN_SIMILARITY_ROWS}")
+    for name, column in (("model cosines", model), ("human scores", human)):
+        if min(column) == max(column):
+            raise ValueError(f"Pearson r is undefined: the {name} of all "
+                             f"{len(model)} covered rows are equal")
     r, _ = stats.pearsonr(model, human)
     return EvalReport(task="word_similarity",
                       metrics={"pearson_r": float(r), "n_pairs": float(len(model))},

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -315,7 +316,8 @@ def identity_dictionary(source_space, target_space) -> BilingualDictionary:
 
 
 def load_similarity_dataset(path) -> list[tuple[str, str, float]]:
-    """Read ``word1<TAB>word2<TAB>score`` rows for similarity benchmarks."""
+    """Read ``word1<TAB>word2<TAB>score`` rows for similarity benchmarks;
+    a score must be a finite number."""
     path = Path(path)
     rows: list[tuple[str, str, float]] = []
     with _open_utf8(path) as fh:
@@ -334,6 +336,8 @@ def load_similarity_dataset(path) -> list[tuple[str, str, float]]:
                 score = float(raw)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparsable score {raw!r}") from None
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: non-finite score {raw!r}")
             rows.append((w1, w2, score))
     if not rows:
         raise ValueError(f"{path}: empty similarity dataset")

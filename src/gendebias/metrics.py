@@ -326,12 +326,17 @@ def audit_bias(lexicon, space: EmbeddingSpace, n_perm: int = 10_000,
 def bias_correlation(scores_a: Mapping[str, float],
                      scores_b: Mapping[str, float]) -> tuple[float, float]:
     """Spearman correlation between two per-word score maps over their key
-    intersection (ties get average ranks; p from the t approximation)."""
+    intersection (ties get average ranks; p from the t approximation).
+    Raises ValueError when either map is constant there (rho is undefined)."""
     keys = sorted(set(scores_a) & set(scores_b))
     if len(keys) < MIN_CORRELATION_KEYS:
         raise ValueError(f"need at least {MIN_CORRELATION_KEYS} shared words, "
                          f"have {len(keys)}")
     a = np.array([scores_a[k] for k in keys], dtype=np.float64)
     b = np.array([scores_b[k] for k in keys], dtype=np.float64)
+    for name, column in (("first", a), ("second", b)):
+        if column.min() == column.max():
+            raise ValueError(f"Spearman rho is undefined: the {name} map scores all "
+                             f"{len(keys)} shared words equally")
     rho, p = stats.spearmanr(a, b)
     return float(rho), float(p)

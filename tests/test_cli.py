@@ -426,6 +426,59 @@ class TestEvaluationCommands:
         assert report["metrics"]["pearson_r"] == pytest.approx(1.0, abs=1e-6)
         assert report["config_digest"]
 
+    @pytest.mark.parametrize("scores, message", [
+        (["nan"] * 6, r"sim\.tsv:1: non-finite score 'nan'"),
+        (["2.5"] * 6, "Pearson r is undefined: the human scores of all 6"),
+    ])
+    def test_similarity_undefined_is_an_error(self, cli_files, tmp_path, capsys,
+                                              scores, message):
+        words = load_text_embeddings(cli_files["src"]).words
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("".join(f"{words[2 * i]}\t{words[2 * i + 1]}\t{s}\n"
+                                   for i, s in enumerate(scores)), encoding="utf-8")
+        out = tmp_path / "sim.json"
+        code = main(["eval-similarity", "--embeddings", str(cli_files["src"]),
+                     "--dataset", str(dataset), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and re.search(message, last), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_json_results_refuse_nan_and_leave_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            gendebias.cli._write_json(tmp_path / "r.json", {"pearson_r": float("nan")})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["link", "fifo"])
+    def test_result_to_a_link_or_fifo_is_written_as_given(self, cli_files, tmp_path,
+                                                          kind):
+        # what `--out /dev/stdout` passes: not replaced, written through
+        argv = ["eval-similarity", "--embeddings", str(cli_files["src"]),
+                "--dataset", str(cli_files["sim"])]
+        assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+        out = tmp_path / "out.json"
+        received = []
+        if kind == "link":
+            (tmp_path / "real.json").write_text("old\n", encoding="utf-8")
+            out.symlink_to(tmp_path / "real.json")
+        else:
+            os.mkfifo(out)
+            reader = threading.Thread(target=lambda: received.append(out.read_bytes()),
+                                      daemon=True)
+            reader.start()
+        assert main(argv + ["--out", str(out)]) == 0
+        if kind == "link":
+            assert out.is_symlink()
+            received.append(out.read_bytes())
+        else:
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+        assert received == [(tmp_path / "plain.json").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["plain.json", "out.json"] + (["real.json"] if kind == "link" else []))
+
     def test_translation_writes_details(self, cli_files, tmp_path):
         out = tmp_path / "trans.json"
         code = main(["eval-translation", "--embeddings", str(cli_files["src"]),
@@ -639,14 +692,86 @@ class TestSidecar:
                 assert self.sidecar(files["en"]).is_file()
                 cold_parses = len(parses)
         assert runs[0] == runs[1]
-        # the warm run parsed only the freshly mitigated source.vec
-        assert parses[cold_parses:] == ["source.vec"]
+        # the warm run parsed nothing: mitigate left source.vec's sidecar
+        assert parses[cold_parses:] == []
         config = json.loads(runs[1]["m/outcome.json"])["config"]
         assert config["input_digests"] == {
             flag: hashlib.sha256(files[key].read_bytes()).hexdigest()
             for flag, key in (("embeddings", "src"), ("embeddings-en", "en"),
                               ("lexicon", "lex"), ("lexicon-en", "lex_en"),
                               ("seed-dict", "seed"))}
+
+    def test_mitigate_outputs_are_read_without_a_parse(self, files, tmp_path, capsys,
+                                                       monkeypatch):
+        pair = ["--embeddings", str(files["src"]), "--embeddings-en", str(files["en"])]
+        out = tmp_path / "m"
+        self.run(["mitigate", "--method", "hybrid_ori", *pair,
+                  "--lexicon", str(files["lex"]), "--lexicon-en", str(files["lex_en"]),
+                  "--seed-dict", str(files["seed"]), "--out", str(out)], capsys)
+        vecs = [out / "source.vec", out / "english.vec"]
+
+        def steps(results):
+            results.mkdir()
+            return [["audit", "--embeddings", str(vecs[0]), "--lexicon", str(files["lex"]),
+                     "--n-perm", "200", "--out", str(results / "a.json")],
+                    ["eval-translation", "--embeddings", str(vecs[0]),
+                     "--embeddings-en", str(vecs[1]), "--dict", str(files["seed"]),
+                     "--out", str(results / "t.json")]]
+
+        def refuse(path, max_words):
+            raise AssertionError(f"parsed {path}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gendebias.cli, "_read_text_embeddings", refuse)
+            for argv in steps(tmp_path / "warm"):
+                self.run(argv, capsys)
+        left = {}
+        for vec in vecs:
+            with np.load(self.sidecar(vec), allow_pickle=False) as npz:
+                left[vec] = {k: npz[k] for k in npz.files}
+            self.sidecar(vec).unlink()
+        for argv in steps(tmp_path / "cold"):
+            self.run(argv, capsys)
+        assert self.results(tmp_path / "warm") == self.results(tmp_path / "cold")
+        # mitigate left the sidecar that a miss writes
+        for vec in vecs:
+            with np.load(self.sidecar(vec), allow_pickle=False) as npz:
+                assert npz["key"].item() == left[vec]["key"].item() == \
+                    f"gendebias-vec/2 {hashlib.sha256(vec.read_bytes()).hexdigest()} None"
+                assert npz["words"].tobytes() == left[vec]["words"].tobytes()
+                assert npz["matrix"].tobytes() == left[vec]["matrix"].tobytes()
+                assert npz["duplicates"] == left[vec]["duplicates"] == 0
+
+    @pytest.mark.parametrize("previous", [None, b"1 1\nold 1\n"])
+    def test_failed_write_leaves_no_partial_file(self, files, tmp_path, capsys,
+                                                 monkeypatch, previous):
+        format_rows = gendebias.embeddings._format_rows
+        blocks = itertools.count(1)
+
+        def exhausted_on_second_block(block, readback=None):
+            if next(blocks) == 2:
+                raise MemoryError("Unable to allocate 1.25 MiB")
+            return format_rows(block, readback)
+
+        monkeypatch.setattr(gendebias.embeddings, "_FORMAT_BLOCK", 1000)
+        monkeypatch.setattr(gendebias.embeddings, "_format_rows",
+                            exhausted_on_second_block)
+        out = tmp_path / "m"
+        if previous is not None:
+            out.mkdir()
+            (out / "source.vec").write_bytes(previous)
+        code = main(["mitigate", "--method", "shift_ori",
+                     "--embeddings", str(files["src"]), "--lexicon", str(files["lex"]),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines()[-1] == "error: out of memory: Unable to allocate 1.25 MiB"
+        assert "Traceback" not in err
+        if previous is None:
+            assert list(out.iterdir()) == []
+        else:
+            assert [p.name for p in out.iterdir()] == ["source.vec"]
+            assert (out / "source.vec").read_bytes() == previous
 
     @pytest.mark.parametrize("damage", [
         "edited input", "other max-words", "truncated", "garbage", "foreign",

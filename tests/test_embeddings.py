@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import re
@@ -456,6 +457,28 @@ class TestTextFormat:
         path = tmp_path / "space.vec"
         save_text_embeddings(EmbeddingSpace(words, matrix), path)
         assert path.read_bytes() == _per_component_text(words, matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_writer_read_back_is_what_the_loader_reads(self, data):
+        # The CLI stores the writer's read-back in a sidecar as if it were a
+        # parse of the bytes written; compared as bits, so -0.0 counts.
+        budget = data.draw(st.integers(1, 40), label="block budget")
+        log_uniform = st.builds(lambda e, s: s * 10.0 ** e, st.floats(-40.0, 60.0),
+                                st.sampled_from([-1.0, 1.0]))
+        matrix = data.draw(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                                  elements=st.one_of(_WRITER_CASES, log_uniform)),
+                           label="matrix")
+        words = [f"w{i}" for i in range(matrix.shape[0])]
+        readback = np.empty_like(matrix)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(embeddings, "_FORMAT_BLOCK", budget):
+            path = Path(tmp) / "space.vec"
+            digest = embeddings._write_text(EmbeddingSpace(words, matrix), path, readback)
+            assert path.read_bytes() == _per_component_text(words, matrix)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+            want = load_text_embeddings(path).matrix
+        assert np.array_equal(readback.view(np.uint64), want.view(np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(tokens=st.lists(st.lists(_FINITE_TOKEN, min_size=3, max_size=3),

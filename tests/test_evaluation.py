@@ -117,6 +117,16 @@ class TestWordSimilarity:
         with pytest.raises(ValueError, match="at least 5"):
             word_similarity_eval(space, dataset)
 
+    def test_constant_column_is_an_error(self):
+        space = small_space(12, 4, seed=8)
+        words = space.words
+        same_word = [(w, w, float(i)) for i, w in enumerate(words[:6])]   # cosine 1
+        with pytest.raises(ValueError, match="undefined: the model cosines of all 6"):
+            word_similarity_eval(space, same_word)
+        flat = [(words[i], words[i + 6], 3.0) for i in range(6)]
+        with pytest.raises(ValueError, match="undefined: the human scores of all 6"):
+            word_similarity_eval(space, flat)
+
     def test_empty_dataset(self):
         space = small_space(10, 4, seed=6)
         with pytest.raises(ValueError, match="empty"):

@@ -321,6 +321,13 @@ class TestSimilarityDataset:
         with pytest.raises(ValueError, match=":1"):
             load_similarity_dataset(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_score(self, tmp_path, score):
+        path = tmp_path / "sim.tsv"
+        path.write_text(f"a\tb\t1\nc\td\t{score}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"sim\\.tsv:2: non-finite score '{score}'"):
+            load_similarity_dataset(path)
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "sim.tsv"
         path.write_text("a\tb\n", encoding="utf-8")

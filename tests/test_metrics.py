@@ -346,6 +346,14 @@ class TestBiasCorrelation:
             assert rho == pytest.approx(want, abs=1e-9)
             assert p == pytest.approx(oracles.spearman_pvalue(want, 15), abs=1e-9)
 
+    @pytest.mark.parametrize("constant", ["first", "second"])
+    def test_constant_map_is_an_error(self, constant):
+        varying = {f"w{i}": float(i) for i in range(8)}
+        flat = {f"w{i}": 0.25 for i in range(8)}
+        maps = (flat, varying) if constant == "first" else (varying, flat)
+        with pytest.raises(ValueError, match=f"undefined: the {constant} map .* all 8"):
+            bias_correlation(*maps)
+
     def test_intersection_only(self):
         a = {f"w{i}": float(i) for i in range(8)}
         b = {f"w{i}": float(i) for i in range(3, 12)}
