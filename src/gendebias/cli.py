@@ -36,7 +36,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,8 @@ import numpy as np
 from . import __version__
 from .directions import (DEFAULT_RIDGE, bilingual_directions, build_directions)
 from .embeddings import (BilingualSpace, EmbeddingSpace, _log_duplicates, _norms,
-                         _read_text_embeddings, _write_text, load_text_embeddings,
-                         unit_normalize)
+                         _read_text_embeddings, _unit_rows, _write_text,
+                         load_text_embeddings, unit_normalize)
 from .evaluation import (export_projections, pair_translation_eval,
                          word_similarity_eval, word_translation_eval,
                          write_projections_csv, write_translation_csv)
@@ -122,15 +122,10 @@ def _digest_of(config: dict) -> str:
 
 
 @contextmanager
-def _replacing(target: Path, suffix: str = ""):
+def _temp_beside(target: Path, suffix: str = ""):
     """A temporary path beside ``target`` (whose name ends in ``suffix``) for
     the block to write, moved onto ``target`` when the block succeeds and
-    removed otherwise, so a reader sees the old file or the whole new one.
-    A target that is a link or a non-regular file (/dev/stdout, a pipe) is
-    written as given."""
-    if target.is_symlink() or target.exists() and not target.is_file():
-        yield target
-        return
+    removed otherwise, so a reader sees the old file or the whole new one."""
     stem = target.name.removesuffix(suffix)
     tmp = target.with_name(f"{stem}.tmp-{os.urandom(4).hex()}{suffix}")
     try:
@@ -138,6 +133,14 @@ def _replacing(target: Path, suffix: str = ""):
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _replacing(target: Path):
+    """_temp_beside for a result file; a target that is a link or a
+    non-regular file (/dev/stdout, a pipe) is written as given."""
+    if target.is_symlink() or target.exists() and not target.is_file():
+        return nullcontext(target)
+    return _temp_beside(target)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -203,7 +206,7 @@ def _write_sidecar(path: Path, before, sidecar: Path, key: str, space,
         after = path.stat()
         if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
             return
-        with _replacing(sidecar, _CACHE_SUFFIX) as tmp, open(tmp, "xb") as fh:
+        with _temp_beside(sidecar, _CACHE_SUFFIX) as tmp, open(tmp, "xb") as fh:
             words = "\n".join(space.words).encode("utf-8")
             np.savez(fh, key=np.array(key),
                      words=np.frombuffer(words, dtype=np.uint8),
@@ -216,17 +219,15 @@ def _write_sidecar(path: Path, before, sidecar: Path, key: str, space,
 def _save_space(space: EmbeddingSpace, path: Path) -> None:
     """Write ``space`` to ``path`` whole or not at all, then beside it the
     sidecar a later full read of ``path`` would write: the writer's read-back
-    of the bytes it wrote, unit-normalized, keyed by their sha256, so that
-    read is a hit."""
-    unit = np.empty(space.matrix.shape)
+    of the bytes it wrote, unit-normalized, keyed by the file's sha256, so
+    that read is a hit."""
+    readback = np.empty(space.matrix.shape)
     with _replacing(path) as tmp:
-        digest = _write_text(space, tmp, unit)
+        _write_text(space, tmp, readback)
     before = path.stat()
-    norms = _norms(unit)
-    unit /= np.where(norms == 0.0, 1.0, norms)[:, None]   # as unit_normalize
-    unit = space._derive(unit, normalized=True)
-    _write_sidecar(path, before, path.with_name(path.name + _CACHE_SUFFIX),
-                   _cache_key(digest, None), unit, 0)
+    key = _cache_key(_sha256(path), None)
+    unit = _unit_rows(space, readback, _norms(readback), out=readback)
+    _write_sidecar(path, before, path.with_name(path.name + _CACHE_SUFFIX), key, unit, 0)
 
 
 def _require(args, *names):

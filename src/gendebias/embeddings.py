@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import codecs
-import hashlib
 import itertools
 import logging
 import re
@@ -540,8 +539,8 @@ def _format_rows(block: np.ndarray,
     widths = _WIDTH[ci]
     if fallback.size:
         # one % operation for them all; "S22" pads each token with NULs
-        tokens = np.array(("%.10g " * fallback.size % tuple(x[fallback].tolist())).split(),
-                          dtype="S22").view(np.uint8).reshape(-1, 22)
+        texts = ("%.10g " * fallback.size % tuple(x[fallback].tolist())).split()
+        tokens = np.array(texts, dtype="S22").view(np.uint8).reshape(-1, 22)
         slots.view(np.uint8)[fallback, 1:23] = tokens
         widths[fallback] = np.count_nonzero(tokens, axis=1) + 1
     lengths = widths.reshape(rows, dim).sum(axis=1)
@@ -552,15 +551,17 @@ def _format_rows(block: np.ndarray,
         # or division then rounds m * 10**p correctly, which makes it
         # float(token) (Clinger's fast path).  Rounding is symmetric, so the
         # sign is copied from x, and a zero reads back as itself.  Tokens
-        # with |p| > 22 and those Python formatted are read as the loader
-        # reads them.
+        # with |p| > 22 and those Python formatted (which hold p = -9 here)
+        # are read as the loader reads them.
         p = ei - (324 + 9)
         power = _POW10[np.minimum(np.abs(p), 22)]
         value = np.copysign(np.where(p >= 0, m * power, m / power), x)
         value[zero] = x[zero]
-        slow = np.union1d(np.flatnonzero(np.abs(p) > 22), fallback)
-        value[slow] = [float(t) for t in
-                       ("%.10g " * slow.size % tuple(x[slow].tolist())).split()]
+        far = np.flatnonzero(np.abs(p) > 22)
+        value[far] = [float(t) for t in
+                      ("%.10g " * far.size % tuple(x[far].tolist())).split()]
+        if fallback.size:
+            value[fallback] = [float(t) for t in texts]
         readback[...] = value.reshape(rows, dim)
     return out.translate(None, b"\0"), lengths
 
@@ -583,11 +584,10 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     _write_text(space, path)
 
 
-def _write_text(space: EmbeddingSpace, path,
-                readback: np.ndarray | None = None) -> str | None:
+def _write_text(space: EmbeddingSpace, path, readback: np.ndarray | None = None) -> None:
     """save_text_embeddings.  With ``readback`` (a float64 array of the
     matrix's shape), also fill it with the matrix load_text_embeddings reads
-    from the file written, and return the sha256 of the bytes written."""
+    from the file written."""
     bad = next((w for w in space.words if " " in w or "\n" in w or "\r" in w), None)
     if bad is not None:
         raise ValueError(f"cannot write {bad!r}: a word in the text format cannot "
@@ -604,11 +604,9 @@ def _write_text(space: EmbeddingSpace, path,
     if over.any():
         raise ValueError(f"cannot write {space.words[int(np.argmax(over))]!r}: %.10g "
                          "rounds one of its components past the float64 maximum")
-    header = f"{len(space)} {space.dim}\n".encode()
-    digest = None if readback is None else hashlib.sha256(header)
     rows = max(1, _FORMAT_BLOCK // space.dim)
     with Path(path).open("wb") as fh:
-        fh.write(header)
+        fh.write(f"{len(space)} {space.dim}\n".encode())
         for start in range(0, len(space), rows):
             block = slice(start, start + rows)
             body, lengths = _format_rows(space.matrix[block],
@@ -619,19 +617,23 @@ def _write_text(space: EmbeddingSpace, path,
             for word, length in zip(space.words[block], lengths.tolist()):
                 parts += (word.encode(), view[end:end + length])
                 end += length
-            data = b"".join(parts)
-            fh.write(data)
-            if digest is not None:
-                digest.update(data)
-    return None if digest is None else digest.hexdigest()
+            fh.write(b"".join(parts))
 
 
 def unit_normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     """Scale every vector to unit Euclidean norm; an all-zero vector stays
     zero."""
-    norms = space.row_norms()
+    return _unit_rows(space, space.matrix, space.row_norms())
+
+
+def _unit_rows(space: EmbeddingSpace, matrix: np.ndarray, norms: np.ndarray,
+               out: np.ndarray | None = None) -> EmbeddingSpace:
+    """``space`` with ``matrix`` (of its shape, row norms ``norms``) divided
+    by its row norms as its unit-normalized vectors, an all-zero row left
+    zero.  The quotient goes to ``out`` (``matrix`` itself may be given, if
+    no one else holds it) or to a new array."""
     scale = np.where(norms == 0.0, 1.0, norms)
-    return space._derive(space.matrix / scale[:, None], normalized=True)
+    return space._derive(np.divide(matrix, scale[:, None], out=out), normalized=True)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,14 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from gendebias import EmbeddingSpace, planted_fixture, unit_normalize
-
-# `pytest --hypothesis-profile=ci` prints a failing example's reproduction blob
-settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -777,7 +777,7 @@ class TestSidecar:
         "edited input", "other max-words", "truncated", "garbage", "foreign",
         "object array", "plain npy", "float32 matrix", "row count",
         "non-finite row", "negative duplicates", "rows not unit length",
-        "version 1 raw matrix"])
+        "version 1 raw matrix", "link", "dangling link"])
     def test_damaged_or_stale_sidecar_is_a_miss(self, files, tmp_path, capsys,
                                                 parses, damage):
         src, sidecar = files["src"], self.sidecar(files["src"])
@@ -800,6 +800,11 @@ class TestSidecar:
             sidecar.write_bytes(b"not a sidecar\n")
         elif damage == "foreign":
             np.savez(sidecar, something=np.arange(3))
+        elif damage in ("link", "dangling link"):
+            # a sidecar is the tool's own cache: a link there is replaced
+            (tmp_path / "elsewhere").write_bytes(b"not a sidecar\n")
+            sidecar.unlink()
+            sidecar.symlink_to(tmp_path / ("elsewhere" if damage == "link" else "nowhere"))
         elif damage == "object array":
             damaged = {**good, "words": np.array([_Trap()], dtype=object)}
         elif damage == "plain npy":
@@ -833,6 +838,9 @@ class TestSidecar:
         # rewritten, and what a hit now reads is the parse
         max_words = 400 if damage == "other max-words" else None
         want = unit_normalize(load_text_embeddings(src, max_words=max_words))
+        assert not sidecar.is_symlink()
+        if damage in ("link", "dangling link"):
+            assert (tmp_path / "elsewhere").read_bytes() == b"not a sidecar\n"
         with np.load(sidecar, allow_pickle=False) as npz:
             assert npz["matrix"].tobytes() == want.matrix.tobytes()
             if damage not in ("edited input", "other max-words"):
@@ -959,6 +967,8 @@ class TestSidecar:
             inputs = {Path(flags[f]) for f in ("--embeddings", "--embeddings-en",
                                                "--lexicon", "--lexicon-en",
                                                "--dict", "--seed-dict") if f in flags}
+            if argv[0] == "mitigate":   # and each .vec it writes, for its sidecar
+                inputs |= {Path(flags["--out"]) / f for f in ("source.vec", "english.vec")}
             assert hashed == {path: 1 for path in inputs}, argv[0]
         hashed.clear()
         word = files["src"].read_text(encoding="utf-8").split("\n")[1].split(" ")[0]
