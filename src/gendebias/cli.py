@@ -190,7 +190,7 @@ def _read_sidecar(sidecar: Path, key: str):
                     or duplicates < 0):
                 return None
             words = bytes(words).decode("utf-8").split("\n")
-            return EmbeddingSpace(words, matrix, normalized=True), int(duplicates)
+            return EmbeddingSpace._owning(words, matrix, normalized=True), int(duplicates)
     except Exception as e:
         logger.debug("%s: sidecar not used: %r", sidecar, e)
         return None

@@ -64,6 +64,22 @@ class EmbeddingSpace:
 
     def __init__(self, words: Sequence[str], matrix, *, normalized: bool = False,
                  language_tag: str = ""):
+        self._own(words, np.array(matrix, dtype=np.float64, copy=True), normalized,
+                  language_tag)
+
+    @classmethod
+    def _owning(cls, words: Sequence[str], matrix: np.ndarray, *,
+                normalized: bool = False, language_tag: str = "") -> "EmbeddingSpace":
+        """The space the constructor builds, holding ``matrix`` itself instead
+        of a copy: a float64 array that no one else holds (one a loader just
+        made), which the space makes read-only."""
+        space = object.__new__(cls)
+        space._own(words, matrix, normalized, language_tag)
+        return space
+
+    def _own(self, words: Sequence[str], mat: np.ndarray, normalized: bool,
+             language_tag: str) -> None:
+        """Check ``words`` (non-empty, unique, non-empty strings), then _set."""
         words = tuple(words)
         if not words:
             raise ValueError("embedding space needs at least one word")
@@ -74,8 +90,7 @@ class EmbeddingSpace:
             if w in index:
                 raise ValueError(f"duplicate word in space: {w!r}")
             index[w] = i
-        self._set(words, index, [None], np.array(matrix, dtype=np.float64, copy=True),
-                  normalized, language_tag)
+        self._set(words, index, [None], mat, normalized, language_tag)
 
     def _set(self, words: tuple[str, ...], index: dict[str, int], lex_rank: list,
              mat: np.ndarray, normalized: bool, language_tag: str) -> None:
@@ -330,7 +345,7 @@ def _read_text_embeddings(path, max_words: int | None) -> tuple[EmbeddingSpace, 
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"{path}:{linenos[row]}: non-finite component for {words[row]!r}")
-    return EmbeddingSpace(words, matrix), duplicates
+    return EmbeddingSpace._owning(words, matrix), duplicates
 
 
 def _log_duplicates(path, duplicates: int) -> None:

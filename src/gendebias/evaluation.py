@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import math
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -13,7 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .directions import GenderDirections
 from .embeddings import (BilingualSpace, EmbeddingSpace, _cosine_scores,
@@ -63,16 +63,25 @@ def word_similarity_eval(space: EmbeddingSpace,
                          ) -> EvalReport:
     """Pearson correlation between model cosines and human scores over the
     covered rows of a similarity dataset (a zero vector leaves its row out).
-    Raises ValueError when either column is constant (r is undefined)."""
+    Raises ValueError when a row's human score, or a covered row's model
+    cosine, is not finite (naming the row), or when either column is
+    constant (r is undefined)."""
     if not dataset:
         raise ValueError("empty similarity dataset")
     model, human = [], []
-    for w1, w2, score in dataset:
+    for row, (w1, w2, score) in enumerate(dataset):
+        if not math.isfinite(score):
+            raise ValueError(f"similarity row {row} ({w1!r}, {w2!r}): "
+                             f"non-finite human score {score!r}")
         if w1 in space and w2 in space:
             try:
-                model.append(cosine(space.vector(w1), space.vector(w2)))
+                cos = cosine(space.vector(w1), space.vector(w2))
             except ValueError:  # a zero vector
                 continue
+            if not math.isfinite(cos):  # its products overflowed
+                raise ValueError(f"similarity row {row} ({w1!r}, {w2!r}): "
+                                 "non-finite model cosine")
+            model.append(cos)
             human.append(score)
     if len(model) < MIN_SIMILARITY_ROWS:
         raise ValueError(f"only {len(model)} of {len(dataset)} rows covered; "
@@ -81,6 +90,8 @@ def word_similarity_eval(space: EmbeddingSpace,
         if min(column) == max(column):
             raise ValueError(f"Pearson r is undefined: the {name} of all "
                              f"{len(model)} covered rows are equal")
+    from scipy import stats  # imported here: no other CLI step needs scipy
+
     r, _ = stats.pearsonr(model, human)
     return EvalReport(task="word_similarity",
                       metrics={"pearson_r": float(r), "n_pairs": float(len(model))},

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .embeddings import EmbeddingSpace
 
@@ -327,7 +326,8 @@ def bias_correlation(scores_a: Mapping[str, float],
                      scores_b: Mapping[str, float]) -> tuple[float, float]:
     """Spearman correlation between two per-word score maps over their key
     intersection (ties get average ranks; p from the t approximation).
-    Raises ValueError when either map is constant there (rho is undefined)."""
+    Raises ValueError when a score there is not finite (naming its key and
+    map) or when either map is constant there (rho is undefined)."""
     keys = sorted(set(scores_a) & set(scores_b))
     if len(keys) < MIN_CORRELATION_KEYS:
         raise ValueError(f"need at least {MIN_CORRELATION_KEYS} shared words, "
@@ -335,8 +335,14 @@ def bias_correlation(scores_a: Mapping[str, float],
     a = np.array([scores_a[k] for k in keys], dtype=np.float64)
     b = np.array([scores_b[k] for k in keys], dtype=np.float64)
     for name, column in (("first", a), ("second", b)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ValueError(f"non-finite score {float(column[bad[0]])!r} for "
+                             f"{keys[bad[0]]!r} in the {name} map")
         if column.min() == column.max():
             raise ValueError(f"Spearman rho is undefined: the {name} map scores all "
                              f"{len(keys)} shared words equally")
+    from scipy import stats  # imported here: no other CLI step needs scipy
+
     rho, p = stats.spearmanr(a, b)
     return float(rho), float(p)

@@ -9,8 +9,11 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from gendebias import (EmbeddingSpace, EnglishDebiasConfig, GenderLexicon,
                        lexicon_to_json_dict, load_text_embeddings,
                        save_text_embeddings, unit_normalize)
 from gendebias.cli import main
+from gendebias.lexicon import FIELDS
 
 # The flags each subcommand reads, and so the only ones it accepts.
 SUBCOMMAND_FLAGS = {
@@ -524,6 +528,71 @@ class TestEvaluationCommands:
         corr = json.loads(out.read_text(encoding="utf-8"))["correlation"]
         assert -1.0 <= corr["spearman_rho"] <= 1.0
         assert corr["n"] == 30
+
+
+class TestStepCost:
+    """A CLI step holds only what it runs: scipy.stats is imported by the
+    steps that correlate, and a loaded matrix is held once."""
+
+    def test_scipy_is_imported_only_to_correlate(self, cli_files, tmp_path):
+        # in a fresh interpreter: this one has scipy from tests/oracles.py
+        files = {k: str(v) for k, v in cli_files.items()}
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        steps = [
+            ["audit", "--embeddings", files["src"], "--lexicon", files["lex"],
+             "--n-perm", "200", "--out", "a.json"],
+            ["eval-translation", "--csls", "--embeddings", files["src"],
+             "--embeddings-en", files["en"], "--dict", files["seed"],
+             "--out", "t.json"],
+            ["correlate", "--embeddings", files["src"], "--lexicon", files["lex"],
+             "--embeddings-en", files["en"], "--lexicon-en", files["lex_en"],
+             "--out", "c.json"],
+            ["eval-similarity", "--embeddings", files["src"], "--dataset",
+             files["sim"], "--out", "s.json"],
+        ]
+        script = (
+            "import json, sys\n"
+            "import gendebias, gendebias.cli\n"
+            "loaded = ['scipy.stats' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert gendebias.cli.main(argv) == 0, argv\n"
+            "    loaded.append('scipy.stats' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+        package_root = str(Path(gendebias.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        fresh.mkdir()
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(steps)],
+                              cwd=fresh, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False,
+                                                            True, True]
+        # the correlating steps write the same bytes with scipy imported early
+        here.mkdir()
+        for argv in steps[2:]:
+            out = argv[-1]
+            assert main(argv[:-1] + [str(here / out)]) == 0
+            assert (here / out).read_bytes() == (fresh / out).read_bytes(), out
+
+    @pytest.mark.parametrize("load", ["parse", "sidecar"])
+    def test_a_load_holds_its_matrix_once(self, tmp_path, load):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "s.vec"
+        save_text_embeddings(EmbeddingSpace([f"w{i}" for i in range(2000)],
+                                            rng.standard_normal((2000, 300))), path)
+        args = argparse.Namespace(max_words=None, digests={})
+        gendebias.cli._load_space(args, path)   # writes the sidecar, keeps the digest
+        tracemalloc.start()
+        try:
+            space = (load_text_embeddings(path) if load == "parse"
+                     else gendebias.cli._load_space(args, path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.matrix.shape == (2000, 300)
+        assert peak < 1.5 * space.matrix.nbytes
+        assert not space.matrix.flags.writeable
 
 
 class TestEndToEnd:
@@ -1060,3 +1129,123 @@ class TestMutatedVec:
             if target == "sidecar":
                 assert code == 0, err
                 assert out.read_bytes() == clean["out"]
+
+
+# A small JSON value of any type.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=4)
+
+# (field, kind, entry index, value): see _edit_lexicon.
+_LEXICON_EDITS = st.tuples(
+    st.sampled_from(sorted(FIELDS) + ["unknown_field"]),
+    st.sampled_from(["drop", "replace", "entry", "append", "grow", "shrink"]),
+    st.integers(0, 1000), _JSON_VALUES)
+
+# (kind, line index, field index, bytes): see _edit_lines.
+_LINE_EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "field"]),
+    st.integers(0, 1000), st.integers(0, 3),
+    st.one_of(st.text(max_size=6).map(str.encode),
+              st.sampled_from([b"", b"nan", b"inf", b"-1e999", b"1_0", b"\t", b" ",
+                               b"\r", b"\xff", b"\xef\xbb\xbf"])))
+
+
+def _edit_lexicon(lexicon: dict, edit) -> dict:
+    """A copy of the JSON object ``lexicon`` with one field dropped or
+    replaced by ``value``, or one of its entries replaced, appended, given
+    one more word or one fewer."""
+    field, kind, i, value = edit
+    lexicon = json.loads(json.dumps(lexicon))
+    entries = lexicon.get(field)
+    if kind == "drop":
+        lexicon.pop(field, None)
+    elif kind == "replace" or not entries:
+        lexicon[field] = value
+    elif kind == "append":
+        entries.append(value)
+    else:
+        i %= len(entries)
+        entry = entries[i]
+        if kind == "entry":
+            entries[i] = value
+        elif kind == "grow":    # a pair becomes a triple, a word a list
+            entries[i] = entry + entry[-1:] if isinstance(entry, list) else [entry] * 2
+        else:                   # one word fewer, or a word one letter shorter
+            entries[i] = entry[:-1]
+    return lexicon
+
+
+def _edit_lines(blob: bytes, edit) -> bytes:
+    """``blob`` with one line replaced by ``data``, ``data`` inserted as a
+    line, one line deleted, or one TAB-separated field of a line replaced
+    by ``data`` (or ``data`` appended as a field)."""
+    kind, i, j, data = edit
+    lines = blob.split(b"\n")
+    i %= len(lines)
+    if kind == "replace":
+        lines[i] = data
+    elif kind == "insert":
+        lines.insert(i, data)
+    elif kind == "delete":
+        del lines[i]
+    else:
+        fields = lines[i].split(b"\t")
+        j %= len(fields) + 1
+        fields[j:j + 1] = [data]
+        lines[i] = b"\t".join(fields)
+    return b"\n".join(lines)
+
+
+class TestMutatedTextInputs:
+    """Damaged lexicon, dictionary and similarity inputs end in a documented
+    exit code and an ``error:`` line, never a traceback, and leave no result
+    file behind."""
+
+    @staticmethod
+    def argv(step, files, mutated, out):
+        vec = ["--embeddings", str(files["src"])]
+        pair = vec + ["--embeddings-en", str(files["en"])]
+        return {
+            "audit": ["audit", *vec, "--lexicon", str(mutated), "--n-perm", "100"],
+            "directions": ["directions", *vec, "--lexicon", str(mutated)],
+            "eval-pairs": ["eval-pairs", *pair, "--lexicon", str(mutated)],
+            "eval-translation": ["eval-translation", *pair, "--dict", str(mutated)],
+            "eval-similarity": ["eval-similarity", *vec, "--dataset", str(mutated)],
+        }[step] + ["--out", str(out / "result.json")]
+
+    def check(self, files, step, data: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            mutated, out = Path(tmp) / "input", Path(tmp) / "out"
+            mutated.write_bytes(data)
+            out.mkdir()
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(self.argv(step, files, mutated, out))
+            err = stderr.getvalue()
+            assert code in (0, 1, 2), err
+            assert "Traceback" not in err
+            left = sorted(p.name for p in out.iterdir())
+            if code:
+                assert err.splitlines()[-1].startswith("error:"), err
+                assert left == []
+            else:
+                assert "result.json" in left
+
+    @settings(max_examples=150, deadline=None)
+    @given(step=st.sampled_from(["audit", "directions", "eval-pairs"]),
+           edit=_LEXICON_EDITS)
+    def test_lexicon_mutation_exits_with_an_error_line(self, cli_files, step, edit):
+        lexicon = json.loads(cli_files["lex"].read_text(encoding="utf-8"))
+        self.check(cli_files, step, json.dumps(_edit_lexicon(lexicon, edit)).encode())
+
+    @settings(max_examples=150, deadline=None)
+    @given(step=st.sampled_from(["eval-translation", "eval-similarity"]),
+           edit=_LINE_EDITS)
+    def test_line_mutation_exits_with_an_error_line(self, cli_files, step, edit):
+        clean = cli_files["seed" if step == "eval-translation" else "sim"]
+        self.check(cli_files, step, _edit_lines(clean.read_bytes(), edit))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -115,6 +116,31 @@ class TestWordSimilarity:
         dataset = [(words[0], words[1], 1.0), (words[2], words[3], 2.0),
                    ("gone", "away", 3.0)]
         with pytest.raises(ValueError, match="at least 5"):
+            word_similarity_eval(space, dataset)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_non_finite_human_score_is_an_error(self, row, value):
+        # row 6 is not covered: a bad score is an error wherever it is
+        space = small_space(20, 6, seed=1)
+        words = space.words
+        dataset = [(words[2 * i], words[2 * i + 1], float(i)) for i in range(6)]
+        dataset.append(("gone", words[0], 1.0))
+        dataset[row] = (*dataset[row][:2], value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"similarity row {row} ({dataset[row][0]!r}, {dataset[row][1]!r}): "
+                f"non-finite human score {value!r}")):
+            word_similarity_eval(space, dataset)
+
+    def test_non_finite_model_cosine_is_an_error(self):
+        # the dot product and norms of two rows of 1e200s overflow: inf / inf
+        matrix = np.random.default_rng(0).standard_normal((8, 4))
+        matrix[4:6] = 1e200
+        space = EmbeddingSpace([f"w{i}" for i in range(8)], matrix)
+        dataset = [(f"w{i}", f"w{(i + 1) % 8}", float(i)) for i in range(8)]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=re.escape("similarity row 4 ('w4', 'w5'): "
+                                            "non-finite model cosine")):
             word_similarity_eval(space, dataset)
 
     def test_constant_column_is_an_error(self):

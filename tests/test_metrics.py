@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -353,6 +355,22 @@ class TestBiasCorrelation:
         maps = (flat, varying) if constant == "first" else (varying, flat)
         with pytest.raises(ValueError, match=f"undefined: the {constant} map .* all 8"):
             bias_correlation(*maps)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", ["first", "second"])
+    def test_non_finite_score_is_an_error(self, bad, value):
+        varying = {f"w{i}": float(i) for i in range(8)}
+        spoiled = {**varying, "w5": value}
+        maps = (spoiled, varying) if bad == "first" else (varying, spoiled)
+        with pytest.raises(ValueError, match=f"non-finite score {value!r} for 'w5' "
+                                             f"in the {bad} map"):
+            bias_correlation(*maps)
+
+    def test_non_finite_score_off_the_intersection_is_unused(self):
+        a = {f"w{i}": float(i) for i in range(8)}
+        b = {**a, "extra": math.nan}
+        rho, _ = bias_correlation(a, b)
+        assert rho == pytest.approx(1.0, abs=1e-12)
 
     def test_intersection_only(self):
         a = {f"w{i}": float(i) for i in range(8)}
