@@ -36,6 +36,7 @@ import json
 import logging
 import os
 import sys
+import zipfile
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
@@ -67,6 +68,8 @@ _BILINGUAL_METHODS = ("shift_en", "de_align", "hybrid_ori", "hybrid_en")
 # raw parsed matrix.
 _CACHE_SUFFIX = ".gdcache.npz"
 _CACHE_VERSION = 2
+# Bytes of an array a sidecar write copies at once.
+_SAVEZ_BLOCK = 1 << 19
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,8 +169,8 @@ def _load_space(args, path):
     sidecar = path.with_name(path.name + _CACHE_SUFFIX)
     cached = _read_sidecar(sidecar, key)
     if cached is None:
-        space, duplicates = _read_text_embeddings(path, args.max_words)
-        space = unit_normalize(space)
+        parsed = _read_text_embeddings(path, args.max_words)
+        space, duplicates = parsed.space(unit=True), parsed.duplicates
         _write_sidecar(path, before, sidecar, key, space, duplicates)
     else:
         space, duplicates = cached
@@ -208,12 +211,29 @@ def _write_sidecar(path: Path, before, sidecar: Path, key: str, space,
             return
         with _temp_beside(sidecar, _CACHE_SUFFIX) as tmp, open(tmp, "xb") as fh:
             words = "\n".join(space.words).encode("utf-8")
-            np.savez(fh, key=np.array(key),
-                     words=np.frombuffer(words, dtype=np.uint8),
-                     matrix=space.matrix,
-                     duplicates=np.array(duplicates, dtype=np.int64))
+            _savez(fh, key=np.array(key),
+                   words=np.frombuffer(words, dtype=np.uint8),
+                   matrix=space.matrix,
+                   duplicates=np.array(duplicates, dtype=np.int64))
     except OSError as e:
         logger.debug("%s: sidecar not written: %s", sidecar, e)
+
+
+def _savez(fh, **arrays) -> None:
+    """The bytes ``np.savez(fh, **arrays)`` writes, for C-contiguous arrays
+    whose .npy header fits format 1.0, each written a block at a time:
+    np.savez copies up to 16 MiB of an array at once, this at most
+    _SAVEZ_BLOCK bytes."""
+    with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_STORED,
+                         allowZip64=True) as npz:
+        for name, array in arrays.items():
+            with npz.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                flat = array.reshape(-1)
+                step = max(1, _SAVEZ_BLOCK // array.itemsize)
+                for start in range(0, flat.size, step):
+                    member.write(flat[start:start + step].tobytes())
 
 
 def _save_space(space: EmbeddingSpace, path: Path) -> None:

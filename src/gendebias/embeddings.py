@@ -5,11 +5,13 @@ from __future__ import annotations
 import codecs
 import itertools
 import logging
+import os
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +24,15 @@ NORM_TOL = 1e-6
 # memory (a partition copy, candidate masks): the scratch stays a few rows,
 # whatever the block's height.
 _PARTITION_ROWS = 16
+
+# Columns per score tile.  Retrieval scores a chunk of queries one tile of
+# the searched vocabulary at a time, so a 1,024-row chunk holds 32 MiB of
+# scores whatever the vocabulary's size.  Tiles start at fixed multiples of
+# _TILE from column 0, and a final one-column tile joins the one before it
+# (numpy computes a one-column product by another routine): on the running
+# BLAS a tile's scores then have the bits of the same columns of the whole
+# product (test_column_tiles_of_a_product_are_bit_identical).
+_TILE = 4096
 
 # Components per step of a row-norm pass: the squares stay in cache.
 _NORM_BLOCK = 1 << 16
@@ -103,7 +114,8 @@ class EmbeddingSpace:
                 f"matrix shape {mat.shape} does not match {len(words)} words")
         if mat.shape[1] < 1:
             raise ValueError("embedding dimension must be at least 1")
-        if not np.all(np.isfinite(mat)):
+        blocks = _row_blocks(len(mat), max(1, _NORM_BLOCK // mat.shape[1]))
+        if not all(np.isfinite(mat[rows]).all() for rows in blocks):
             bad = int(np.argwhere(~np.isfinite(mat).all(axis=1))[0][0])
             raise ValueError(f"non-finite components in vector for {words[bad]!r}")
         norms = None
@@ -272,14 +284,47 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
     the path, line and byte offset), or a body that ends before the
     header's count (a truncated file) while more words were wanted.
     """
-    space, duplicates = _read_text_embeddings(path, max_words)
-    _log_duplicates(path, duplicates)
+    parsed = _read_text_embeddings(path, max_words)
+    space = parsed.space()
+    _log_duplicates(path, parsed.duplicates)
     return space
 
 
-def _read_text_embeddings(path, max_words: int | None) -> tuple[EmbeddingSpace, int]:
-    """load_text_embeddings without the log line: the space and the number
-    of duplicate words skipped."""
+class _TextParse(NamedTuple):
+    """A parsed text file before it becomes a space: its words, the line of
+    each, their matrix (which no one else holds) and the number of
+    duplicate words skipped."""
+
+    path: Path
+    words: list[str]
+    linenos: list[int]
+    matrix: np.ndarray
+    duplicates: int
+
+    def space(self, unit: bool = False) -> EmbeddingSpace:
+        """The space holding the parsed matrix; with ``unit``, the space
+        unit_normalize would make of it, the matrix divided in place.  Call
+        it once.  Raises ValueError naming the path and line of the first
+        vector with a non-finite component."""
+        matrix = self.matrix
+        if unit:
+            # inf / inf: a non-finite row stays non-finite, reported below
+            with np.errstate(invalid="ignore"):
+                _unit(matrix, _norms(matrix), out=matrix)
+        try:  # the space checks finiteness; only a failed check is located
+            return EmbeddingSpace._owning(self.words, matrix, normalized=unit)
+        except ValueError:
+            finite = np.isfinite(matrix).all(axis=1)
+            if finite.all():
+                raise
+            row = int(np.argmin(finite))
+            raise ValueError(f"{self.path}:{self.linenos[row]}: non-finite "
+                             f"component for {self.words[row]!r}") from None
+
+
+def _read_text_embeddings(path, max_words: int | None) -> _TextParse:
+    """The parse of load_text_embeddings, every check but finiteness made
+    (_TextParse.space makes that one)."""
     if max_words is not None and max_words < 1:
         raise ValueError(f"max_words must be positive, got {max_words}")
     path = Path(path)
@@ -327,10 +372,17 @@ def _read_text_embeddings(path, max_words: int | None) -> tuple[EmbeddingSpace, 
         # warn about it; the truncation check below reports it instead.
         first = next(rows, None)
         matrix = np.empty((0, dim))
+        # Given max_rows, loadtxt fills one array of that many rows instead of
+        # growing one.  A regular file holds at most a row per 2·dim + 1
+        # bytes, which caps what a wrong header count can make it allocate.
+        info = os.fstat(fh.fileno())
+        max_rows = (min(limit, info.st_size // (2 * dim + 1))
+                    if stat.S_ISREG(info.st_mode) else None)
         if first is not None:
             try:
                 matrix = np.loadtxt(itertools.chain((first,), rows), dtype=np.float64,
-                                    delimiter=" ", comments=None, ndmin=2)
+                                    delimiter=" ", comments=None, ndmin=2,
+                                    max_rows=max_rows)
             except ValueError as exc:
                 bad = _LOADTXT_ERROR.fullmatch(str(exc))
                 if bad is None:
@@ -341,11 +393,7 @@ def _read_text_embeddings(path, max_words: int | None) -> tuple[EmbeddingSpace, 
     if len(words) < limit and rows_read < count:
         raise ValueError(f"{path}: truncated file: header declares {count} "
                          f"words, body has {rows_read}")
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"{path}:{linenos[row]}: non-finite component for {words[row]!r}")
-    return EmbeddingSpace._owning(words, matrix), duplicates
+    return _TextParse(path, words, linenos, matrix, duplicates)
 
 
 def _log_duplicates(path, duplicates: int) -> None:
@@ -647,8 +695,14 @@ def _unit_rows(space: EmbeddingSpace, matrix: np.ndarray, norms: np.ndarray,
     by its row norms as its unit-normalized vectors, an all-zero row left
     zero.  The quotient goes to ``out`` (``matrix`` itself may be given, if
     no one else holds it) or to a new array."""
+    return space._derive(_unit(matrix, norms, out), normalized=True)
+
+
+def _unit(matrix: np.ndarray, norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``matrix`` divided by its row norms ``norms`` into ``out`` (or a new
+    array), an all-zero row left zero."""
     scale = np.where(norms == 0.0, 1.0, norms)
-    return space._derive(np.divide(matrix, scale[:, None], out=out), normalized=True)
+    return np.divide(matrix, scale[:, None], out=out)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -664,23 +718,73 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray) -> np.ndarray:
-    """Cosine of each query row against every row of ``space``, from the raw
-    matrix and the cached row norms.  Zero rows of ``space`` score -inf, so
-    they come after every other row; a zero query raises ValueError."""
+def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray, cols: slice) -> np.ndarray:
+    """Cosine of each query row against the rows ``cols`` of ``space``, from
+    the raw matrix and the cached row norms.  Zero rows of ``space`` score
+    -inf, so they come after every other row; a zero query raises
+    ValueError."""
     qn = np.linalg.norm(queries, axis=1)
     if np.any(qn == 0.0):
         raise ValueError("cosine undefined for zero query vector")
-    live = space.row_norms() > 0.0
-    scores = (queries / qn[:, None]) @ space.matrix.T
-    np.divide(scores, space.row_norms(), out=scores, where=live)
+    norms = space.row_norms()[cols]
+    live = norms > 0.0
+    scores = (queries / qn[:, None]) @ space.matrix[cols].T
+    scores /= np.where(live, norms, 1.0)
     scores[:, ~live] = -np.inf
     return scores
 
 
-def _row_blocks(n: int, rows: int = _PARTITION_ROWS):
-    """Slices of at most ``rows`` rows that cover ``range(n)`` in order."""
+def _column_tiles(n: int) -> list[slice]:
+    """The column tiles of an ``n``-column score block: slices starting at
+    multiples of _TILE, a final one-column tile joined to the one before."""
+    starts = list(range(0, n, _TILE))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _row_blocks(n: int, rows: int | None = None):
+    """Slices of at most ``rows`` (default _PARTITION_ROWS) rows that cover
+    ``range(n)`` in order."""
+    rows = rows or _PARTITION_ROWS
     return (slice(start, start + rows) for start in range(0, n, rows))
+
+
+def _shortlist(keys, n: int, k: int, slack: float = 0.0):
+    """(rows, cols, keys) of the entries of an ``n``-row array that lie at
+    or above their row's k-th largest key less ``slack``, every tie
+    included (all of a row shorter than k).  ``keys(rows)`` gives the
+    array's rows a few at a time, so the scratch stays a few rows."""
+    found = []
+    for rows in _row_blocks(n):
+        block = keys(rows)
+        m = block.shape[1]
+        kth = np.partition(block, m - min(k, m), axis=1)[:, m - min(k, m)]
+        r, c = np.nonzero(block >= (kth - slack)[:, None])
+        found.append((r + rows.start, c, block[r, c]))
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _within(rows: np.ndarray, keys: np.ndarray, n: int, k: int,
+            slack: float = 0.0) -> np.ndarray:
+    """Mask of the candidates (one row index and key each, every one of the
+    ``n`` rows holding some) whose key lies at or above their row's k-th
+    largest less ``slack`` (all of a row with fewer than k)."""
+    order = np.lexsort((-keys, rows))
+    ordered = rows[order]
+    first = np.searchsorted(ordered, np.arange(n))
+    last = np.minimum(first + k, np.searchsorted(ordered, np.arange(n), side="right"))
+    return keys >= keys[order[last - 1]][rows] - slack
+
+
+def _select(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray,
+            lex_rank: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The ``k`` best candidates' columns of each of ``n`` rows (every row
+    holding at least k), best first, equal scores in ascending ``lex_rank``
+    order: one lexsort on (lex_rank, -score, row) cut at k."""
+    order = np.lexsort((lex_rank[cols], -scores, rows))
+    first = np.searchsorted(rows[order], np.arange(n))
+    return cols[order][first[:, None] + np.arange(k)]
 
 
 def _top_rows(scores: np.ndarray, lex_rank: np.ndarray, k: int) -> np.ndarray:
@@ -690,13 +794,8 @@ def _top_rows(scores: np.ndarray, lex_rank: np.ndarray, k: int) -> np.ndarray:
     row's k-th best value (every tie with it included) are sorted."""
     n, m = scores.shape
     k = min(k, m)
-    kth = np.empty(n)
-    for rows in _row_blocks(n):
-        kth[rows] = np.partition(scores[rows], m - k, axis=1)[:, m - k]
-    rows, cols = np.nonzero(scores >= kth[:, None])
-    order = np.lexsort((lex_rank[cols], -scores[rows, cols], rows))
-    first = np.searchsorted(rows, np.arange(n))
-    return cols[order][first[:, None] + np.arange(k)]
+    rows, cols, top = _shortlist(lambda rows: scores[rows], n, k)
+    return _select(rows, cols, top, lex_rank, n, k)
 
 
 def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
@@ -712,7 +811,7 @@ def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (space.dim,):
         raise ValueError(f"query shape {query.shape} does not match dim {space.dim}")
-    scores = _cosine_scores(space, query[None, :])[0]
+    scores = _cosine_scores(space, query[None, :], slice(None))[0]
     mask = np.ones(len(space), dtype=bool)
     for w in exclude:
         if w in space:

@@ -16,18 +16,25 @@ from typing import Sequence
 import numpy as np
 
 from .directions import GenderDirections
-from .embeddings import (BilingualSpace, EmbeddingSpace, _cosine_scores,
-                         _row_blocks, _top_rows, cosine)
+from .embeddings import (BilingualSpace, EmbeddingSpace, _column_tiles,
+                         _cosine_scores, _row_blocks, _select, _shortlist,
+                         _within, cosine)
 from .lexicon import AnalogyQuery, BilingualDictionary, OccupationPair
 
 logger = logging.getLogger(__name__)
 
 MIN_SIMILARITY_ROWS = 5
 CSLS_NEIGHBORHOOD = 10
-# Query rows scored per matrix product: bounds retrieval memory to this many
-# rows times the searched vocabulary.  BLAS may round a product of another
-# height differently, so results hold their bits only while this stays fixed.
+# Query rows scored per matrix product, one column tile of the searched
+# vocabulary at a time (embeddings._TILE).  BLAS may round a product of
+# another height differently, so results hold their bits only while this
+# stays fixed.
 _SCORE_CHUNK = 1024
+# A CSLS candidate is kept while 2·cos - r_tgt lies within this of its row's
+# k-th best.  Its exact score (2·cos - r_src) - r_tgt differs from that
+# value less r_src by a few 1e-16 of rounding, so no column of the true top
+# k is dropped.
+_CSLS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,8 @@ def word_similarity_eval(space: EmbeddingSpace,
 
 def _chunk_threads() -> int:
     """Threads scoring chunks at once: two where two CPUs are usable.  Each
-    chunk in flight holds one score block, so retrieval memory grows with
-    this count; two keep it within the few blocks the README documents."""
+    chunk in flight holds one score tile, so retrieval memory grows with
+    this count; two keep it within the bound the README documents."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -130,32 +137,96 @@ def _map_chunks(fn, n: int) -> list:
     return [future.result() for future in futures]
 
 
-def _mean_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise mean of the k largest finite entries (-inf, a zero vector's
-    score, is no neighbor); 0 for a row without any.  Partitions ``scores``
-    in place."""
-    k = min(k, scores.shape[1])
-    scores.partition(scores.shape[1] - k, axis=1)
-    top = scores[:, -k:]
+def _top_values(scores: np.ndarray, k: int) -> np.ndarray:
+    """The min(k, width) largest entries of each row, in no given order.
+    Partitions ``scores`` in place."""
+    m = scores.shape[1]
+    k = min(k, m)
+    scores.partition(m - k, axis=1)
+    return scores[:, m - k:]
+
+
+def _merge_top(top: np.ndarray | None, scores: np.ndarray, k: int) -> np.ndarray:
+    """The k largest entries of each row over ``top`` (each row's k largest
+    of the tiles before; None before the first) and the tile ``scores``,
+    which this partitions in place."""
+    tile_top = _top_values(scores, k)
+    return tile_top.copy() if top is None else _top_values(np.hstack([top, tile_top]), k)
+
+
+def _mean_topk(top: np.ndarray) -> np.ndarray:
+    """Row-wise mean of the finite entries of ``top``, each row's k largest
+    scores (-inf, a zero vector's score, is no neighbor); 0 for a row
+    without any.  They are summed in ascending order, so the mean does not
+    depend on the tiles they were gathered over."""
+    top = np.sort(top, axis=1)
     finite = np.isfinite(top)
     return np.where(finite, top, 0.0).sum(axis=1) / np.maximum(finite.sum(axis=1), 1)
 
 
+def _neighbours(score_tile, m: int) -> np.ndarray:
+    """Each row's CSLS_NEIGHBORHOOD largest scores in a score block of ``m``
+    columns, which ``score_tile(cols)`` gives one tile of _column_tiles(m)
+    at a time."""
+    top = None
+    for cols in _column_tiles(m):
+        top = _merge_top(top, score_tile(cols), CSLS_NEIGHBORHOOD)
+    return top
+
+
 def _csls_adjustment(bi: BilingualSpace) -> np.ndarray:
     """Per-target mean cosine to its CSLS_NEIGHBORHOOD nearest mapped-source
-    vectors, computed in chunks against the full source vocabulary; 0 for a
-    zero target vector."""
+    vectors, computed in chunks against the full source vocabulary, one
+    column tile at a time; 0 for a zero target vector."""
     r_tgt = np.zeros(len(bi.target))
     live = np.flatnonzero(bi.target.row_norms() > 0.0)
     bi.source.row_norms()  # fill the cache before chunk threads read it
 
     def adjust(chunk: slice) -> None:
         rows = live[chunk]
-        r_tgt[rows] = _mean_topk(_cosine_scores(bi.source, bi.target.matrix[rows]),
-                                 CSLS_NEIGHBORHOOD)
+        queries = bi.target.matrix[rows]
+        r_tgt[rows] = _mean_topk(_neighbours(
+            lambda cols: _cosine_scores(bi.source, queries, cols), len(bi.source)))
 
     _map_chunks(adjust, live.size)
     return r_tgt
+
+
+def _retrieve(score_tile, n: int, m: int, lex_rank: np.ndarray, k: int,
+              r_tgt: np.ndarray | None = None) -> np.ndarray:
+    """Column indices of the ``k`` best of ``m`` columns for each of ``n``
+    rows, best first, equal scores in ascending ``lex_rank`` order: what
+    _top_rows gives on the whole score block, or with ``r_tgt`` on its CSLS
+    scores (2·cos - r_src) - r_tgt, r_src being the _mean_topk of each row's
+    CSLS_NEIGHBORHOOD best cosines.  ``score_tile(cols)`` gives the block's
+    columns ``cols``, one tile of _column_tiles(m) at a time.  Between tiles
+    only each row's candidates are kept: the columns that can still be among
+    its k best, ties included (for CSLS, those whose 2·cos - r_tgt lies
+    within _CSLS_SLACK of the row's k-th, as r_src is known only after the
+    last tile)."""
+    k = min(k, m)
+    slack = 0.0 if r_tgt is None else _CSLS_SLACK
+    empty = np.empty(0, dtype=np.intp)
+    kept = (empty, empty, np.empty(0), np.empty(0))  # rows, cols, keys, cosines
+    top = None
+    for cols in _column_tiles(m):
+        scores = score_tile(cols)
+
+        def keys(rows):
+            return scores[rows] if r_tgt is None else 2.0 * scores[rows] - r_tgt[cols]
+
+        rows, tile_cols, tile_keys = _shortlist(keys, n, k, slack)
+        found = (rows, tile_cols + cols.start, tile_keys, scores[rows, tile_cols])
+        kept = tuple(map(np.concatenate, zip(kept, found)))
+        if cols.stop < m:  # _select cuts after the last tile
+            keep = _within(kept[0], kept[2], n, k, slack)
+            kept = tuple(a[keep] for a in kept)
+        if r_tgt is not None:
+            top = _merge_top(top, scores, CSLS_NEIGHBORHOOD)
+    rows, cols, _, scores = kept
+    if r_tgt is not None:
+        scores = (2.0 * scores - _mean_topk(top)[rows]) - r_tgt[cols]
+    return _select(rows, cols, scores, lex_rank, n, k)
 
 
 @dataclass(frozen=True)
@@ -194,17 +265,9 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
     bi.target.row_norms()  # fill the cache before chunk threads read it
 
     def retrieve(chunk: slice) -> np.ndarray:
-        scores = _cosine_scores(bi.target, bi.source.matrix[queries[chunk]])
-        if csls:
-            # 2 * scores - r_src - r_tgt, in place; r_src partitions copies of
-            # a few rows, so the chunk holds one score block
-            r_src = np.empty(len(scores))
-            for rows in _row_blocks(len(scores)):
-                r_src[rows] = _mean_topk(scores[rows].copy(), CSLS_NEIGHBORHOOD)
-            scores *= 2.0
-            scores -= r_src[:, None]
-            scores -= r_tgt
-        return _top_rows(scores, lex_rank, kmax)
+        rows = bi.source.matrix[queries[chunk]]
+        return _retrieve(lambda cols: _cosine_scores(bi.target, rows, cols),
+                         len(rows), len(bi.target), lex_rank, kmax, r_tgt)
 
     top = itertools.chain.from_iterable(_map_chunks(retrieve, len(entries)))
     details = []
@@ -227,13 +290,64 @@ def _rank_of(scores: np.ndarray, gold_idx, candidate_mask: np.ndarray,
     """1-based rank of the gold among masked candidates: strictly better
     scores first, equal scores broken by ascending lexicographic order.
     Row-wise for 2-D ``scores`` and ``candidate_mask`` with one gold index
-    per row."""
+    per row.  The whole-block reference that _ranks reproduces tile by
+    tile."""
     gold_idx = np.asarray(gold_idx)
     gold_score = np.take_along_axis(scores, gold_idx[..., None], axis=-1)
-    better = candidate_mask & (scores > gold_score)
-    tied = (candidate_mask & (scores == gold_score)
-            & (lex_rank < lex_rank[gold_idx][..., None]))
-    return 1 + np.count_nonzero(better, axis=-1) + np.count_nonzero(tied, axis=-1)
+    ahead = _ahead(scores, lex_rank, gold_score, lex_rank[gold_idx][..., None])
+    return 1 + np.count_nonzero(candidate_mask & ahead, axis=-1)
+
+
+def _ahead(scores, lex, gold_score, gold_lex):
+    """Whether each candidate ranks ahead of its gold: a better score, or an
+    equal one and an earlier word."""
+    return (scores > gold_score) | ((scores == gold_score) & (lex < gold_lex))
+
+
+def _ranks(score_tile, m: int, gold: np.ndarray, estimate: np.ndarray,
+           slack: float, candidates, lex_rank: np.ndarray) -> np.ndarray:
+    """The 1-based rank of each row's gold column among its candidate
+    columns, as _rank_of gives it on the whole score block of ``m`` columns.
+    ``score_tile(cols)`` gives the block's columns ``cols``, one tile of
+    _column_tiles(m) at a time, and ``candidates(rows, cols)`` the candidate
+    mask of a few of its rows (a gold's own column never counts, whatever
+    its mask says).  The counts of better and tied candidates add
+    over tiles, but a gold's own score is known only from its own tile:
+    before that, ``estimate`` (each gold's score to within ``slack``)
+    settles every column it can, and the few it cannot wait for the gold's
+    tile.  Every decision compares the block's own bits."""
+    n = len(gold)
+    gold_score = np.zeros(n)
+    known = np.zeros(n, dtype=bool)
+    gold_lex = lex_rank[gold]
+    ahead = np.zeros(n, dtype=np.intp)
+    pending = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp))
+    for cols in _column_tiles(m):
+        scores = score_tile(cols)
+        in_tile = (gold >= cols.start) & (gold < cols.stop)
+        here = np.flatnonzero(in_tile)
+        gold_score[here] = scores[here, gold[here] - cols.start]
+        known[here] = True
+        lo = np.where(known, gold_score, estimate - slack)
+        hi = np.where(known, gold_score, estimate + slack)
+        found = [pending]  # (row, score, lex_rank) of each unsettled column
+        for rows in _row_blocks(n):
+            block = scores[rows]
+            mask = candidates(rows, cols)
+            own = np.flatnonzero(in_tile[rows])
+            mask[own, gold[rows][own] - cols.start] = False  # never ahead of itself
+            above = block > hi[rows, None]
+            ahead[rows] += np.count_nonzero(mask & above, axis=1)
+            near = mask & ~above & (block >= lo[rows, None])
+            if near.any():
+                r, c = np.nonzero(near)
+                found.append((r + rows.start, block[r, c], lex_rank[c + cols.start]))
+        rows, score, lex = map(np.concatenate, zip(*found))
+        settled = known[rows]
+        ahead += np.bincount(rows[settled & _ahead(score, lex, gold_score[rows],
+                                                   gold_lex[rows])], minlength=n)
+        pending = (rows[~settled], score[~settled], lex[~settled])
+    return 1 + ahead
 
 
 def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
@@ -272,22 +386,35 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
     skipped = len(queries) - len(resolved)
     src.row_norms()  # fill the cache before chunk threads read it
 
+    # two roundings of a cosine of dim-component vectors differ by at most
+    # about 2·(dim + 4)·2**-53 (Higham's dot-product bound, the divisions
+    # included); the gold estimates allow 16 times that
+    slack = (src.dim + 4) * 2.0 ** -48
+
     def ranks_of(rows: slice) -> np.ndarray:
-        scores = _cosine_scores(src, targets[rows])
-        ranks = np.empty(len(scores), dtype=np.intp)
-        # masks and comparisons a few rows at a time, so the chunk holds one
-        # score block
-        for block in _row_blocks(len(scores)):
-            chunk = resolved[rows][block]
-            mask = np.repeat(base_mask[None, :], len(chunk), axis=0)
-            for row, q in enumerate(chunk):
-                for w in (q.source_context, q.english_context, q.english_target):
-                    if w in src:
-                        mask[row, src.index(w)] = False
-            gold_idx = src.indices([q.gold for q in chunk])
-            mask[np.arange(len(chunk)), gold_idx] = True  # the gold is always a candidate
-            ranks[block] = _rank_of(scores[block], gold_idx, mask, lex_rank)
-        return ranks
+        chunk = resolved[rows]
+        queries = targets[rows]
+        gold = src.indices([q.gold for q in chunk])
+        excluded = np.array([[src.index(w) if w in src else -1 for w in
+                              (q.source_context, q.english_context, q.english_target)]
+                             for q in chunk], dtype=np.intp)
+        norms = src.row_norms()[gold]
+        estimate = np.full(len(chunk), -np.inf)  # a zero gold scores -inf
+        live = norms > 0.0
+        estimate[live] = (np.einsum("ij,ij->i", queries[live], src.matrix[gold[live]])
+                          / (np.linalg.norm(queries[live], axis=1) * norms[live]))
+
+        def candidates(block: slice, cols: slice) -> np.ndarray:
+            # the context words are no candidates (the gold, always one, is
+            # never ahead of itself)
+            words = excluded[block]
+            mask = np.repeat(base_mask[None, cols], len(words), axis=0)
+            r, j = np.nonzero((words >= cols.start) & (words < cols.stop))
+            mask[r, words[r, j] - cols.start] = False
+            return mask
+
+        return _ranks(lambda cols: _cosine_scores(src, queries, cols), len(src),
+                      gold, estimate, slack, candidates, lex_rank)
 
     rr: dict[str, list[float]] = {"masculine": [], "feminine": []}
     ranks = itertools.chain.from_iterable(_map_chunks(ranks_of, len(resolved)))

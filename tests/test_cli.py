@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -169,12 +170,12 @@ class TestExitCodes:
         calls = itertools.count(1)
         lock = threading.Lock()
 
-        def exhausted_once(space, queries):
+        def exhausted_once(space, queries, cols):
             with lock:
                 call = next(calls)
             if call == 2:
                 raise MemoryError("Unable to allocate 18.7 GiB")
-            return cosine_scores(space, queries)
+            return cosine_scores(space, queries, cols)
 
         monkeypatch.setattr(gendebias.evaluation, "_cosine_scores", exhausted_once)
         code = main(["eval-translation", "--embeddings", str(cli_files["src"]),
@@ -594,6 +595,39 @@ class TestStepCost:
         assert peak < 1.5 * space.matrix.nbytes
         assert not space.matrix.flags.writeable
 
+    def test_a_cold_load_holds_its_matrix_once(self, tmp_path):
+        # a sidecar miss divides the parsed matrix in place and writes the
+        # sidecar a block at a time
+        rng = np.random.default_rng(0)
+        path = tmp_path / "s.vec"
+        save_text_embeddings(EmbeddingSpace([f"w{i}" for i in range(2000)],
+                                            rng.standard_normal((2000, 300))), path)
+        args = argparse.Namespace(max_words=None, digests={})
+        tracemalloc.start()
+        try:
+            space = gendebias.cli._load_space(args, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.with_name(path.name + ".gdcache.npz").is_file()
+        assert peak <= 1.25 * space.matrix.nbytes
+        assert gendebias.cli._load_space(args, path).matrix.tobytes() == \
+            space.matrix.tobytes()
+
+    def test_sidecar_writer_writes_what_np_savez_writes(self, monkeypatch):
+        # a zip member's header holds the time it was written
+        monkeypatch.setattr(time, "time", lambda: 1.7e9)
+        rng = np.random.default_rng(0)
+        words = np.frombuffer(b"a\nbb\nccc", dtype=np.uint8)
+        for rows in (1, 3, 700):
+            arrays = dict(key=np.array("gendebias-vec/2 0123 None"), words=words,
+                          matrix=rng.standard_normal((rows, 300)),
+                          duplicates=np.array(2, dtype=np.int64))
+            want, got = io.BytesIO(), io.BytesIO()
+            np.savez(want, **arrays)
+            gendebias.cli._savez(got, **arrays)
+            assert got.getvalue() == want.getvalue()
+
 
 class TestEndToEnd:
     def test_mitigation_lowers_the_audited_statistic(self, cli_files, tmp_path):
@@ -938,7 +972,7 @@ class TestSidecar:
         if failing == "create":
             monkeypatch.setattr(gendebias.cli, "open", refuse_create, raising=False)
         else:
-            monkeypatch.setattr(gendebias.cli.np, "savez", refuse)
+            monkeypatch.setattr(gendebias.cli, "_savez", refuse)
         try:
             with caplog.at_level(logging.DEBUG, logger="gendebias.cli"):
                 self.run(["eval-similarity", "--embeddings", str(files["src"]),

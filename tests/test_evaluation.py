@@ -4,9 +4,14 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import small_space
@@ -526,6 +531,180 @@ def test_a_chunk_scores_the_same_on_a_worker_thread(monkeypatch):
         assert np.array_equal(scores, queries[rows] @ vocab.T)
 
 
+def test_column_tiles_of_a_product_are_bit_identical():
+    # Retrieval scores a chunk one column tile at a time; its results are
+    # those of the whole product only because the running BLAS gives each
+    # tile the bits of the same columns of the whole product.  6,593 is the
+    # benchmark's English vocabulary, 8,193 ends in a one-column tile that
+    # is folded into the one before, 12,289 spans three tiles.
+    rng = np.random.default_rng(6)
+    queries = rng.standard_normal((evaluation._SCORE_CHUNK, 300))
+    assert embeddings._column_tiles(8193)[-1] == slice(embeddings._TILE, 8193)
+    for width in (6593, 8193, 12289):
+        space = EmbeddingSpace([f"w{i}" for i in range(width)],
+                               rng.standard_normal((width, 300)))
+        whole = embeddings._cosine_scores(space, queries, slice(None))
+        tiles = embeddings._column_tiles(width)
+        assert len(tiles) > 1
+        for cols in tiles:
+            assert np.array_equal(embeddings._cosine_scores(space, queries, cols),
+                                  whole[:, cols]), (width, cols)
+
+
+# Quantized scores force exact ties, -inf is what a zero row scores, and
+# scores 1e-13 or one ulp apart fall within the CSLS and gold slacks.
+TILE_SCORES = st.one_of(
+    st.sampled_from([-np.inf, -1.0, 0.0, 0.25, 0.5, np.nextafter(0.5, 1.0),
+                     0.5 + 1e-13, 1.0]),
+    st.floats(-1.0, 1.0))
+
+
+def tiled(tile, block=embeddings._PARTITION_ROWS):
+    """Score tiles of ``tile`` columns and row blocks of ``block`` rows."""
+    return mock.patch.multiple(embeddings, _TILE=tile, _PARTITION_ROWS=block)
+
+
+def score_block(data):
+    """Drawn scores and tie-break ranks, the block's tiles as a kernel asks
+    for them, and a tile width and row block height."""
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 24))
+    scores = data.draw(arrays(np.float64, (n, m), elements=TILE_SCORES))
+    lex_rank = np.array(data.draw(st.permutations(range(m))), dtype=np.intp)
+    shape = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    return scores, lex_rank, (lambda cols: scores[:, cols].copy()), shape
+
+
+class TestColumnTileMerges:
+    """Every retrieval kernel merges its column tiles into the whole score
+    block's answer.  The scores are given, so this checks the merges apart
+    from the BLAS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_top_k(self, data):
+        scores, lex_rank, tiles, shape = score_block(data)
+        n, m = scores.shape
+        k = data.draw(st.integers(1, m + 2))
+        want = np.array([np.lexsort((lex_rank, -row))[:k] for row in scores])
+        with tiled(*shape):
+            assert np.array_equal(evaluation._retrieve(tiles, n, m, lex_rank, k), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_neighbourhood_mean(self, data):
+        scores, _, tiles, shape = score_block(data)
+        m = scores.shape[1]
+        with tiled(*shape):
+            got = evaluation._mean_topk(evaluation._neighbours(tiles, m))
+        with tiled(m + 1):
+            want = evaluation._mean_topk(evaluation._neighbours(tiles, m))
+        assert got.tobytes() == want.tobytes()
+        for value, row in zip(want, scores):
+            top = np.sort(row)[-evaluation.CSLS_NEIGHBORHOOD:]
+            top = top[np.isfinite(top)]
+            assert value == pytest.approx(top.mean() if top.size else 0.0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_csls_selection(self, data):
+        scores, lex_rank, tiles, shape = score_block(data)
+        n, m = scores.shape
+        k = data.draw(st.integers(1, m + 2))
+        r_tgt = data.draw(arrays(np.float64, m, elements=st.one_of(
+            st.sampled_from([0.0, 0.25, 0.5, 0.5 + 1e-13]), st.floats(-1.0, 1.0))))
+        top = np.sort(scores, axis=1)[:, -evaluation.CSLS_NEIGHBORHOOD:]
+        csls = (2.0 * scores - evaluation._mean_topk(top)[:, None]) - r_tgt
+        want = np.array([np.lexsort((lex_rank, -row))[:k] for row in csls])
+        with tiled(*shape):
+            got = evaluation._retrieve(tiles, n, m, lex_rank, k, r_tgt)
+        assert np.array_equal(got, want)
+
+    def test_neighbourhood_mean_does_not_depend_on_the_tiles(self):
+        rng = np.random.default_rng(8)
+        scores = rng.standard_normal((64, 301))
+        tiles = (lambda cols: scores[:, cols].copy())
+        with tiled(302):
+            top = evaluation._neighbours(tiles, 301)
+        want = evaluation._mean_topk(top).tobytes()
+        for tile in (1, 7, 64):
+            with tiled(tile):
+                got = evaluation._mean_topk(evaluation._neighbours(tiles, 301))
+            assert got.tobytes() == want, tile
+        # whatever order a partition leaves the k values in
+        shuffled = np.array([rng.permutation(row) for row in top])
+        assert evaluation._mean_topk(shuffled).tobytes() == want
+
+    def test_csls_keeps_a_column_just_below_on_the_shortlist_key(self):
+        # column 0 leads on 2·cos - r_tgt by rounding alone, column 1 on the
+        # exact CSLS score
+        scores = np.array([[0.2721710178793158, 0.27217101787931597] + [-0.9] * 8])
+        r_tgt = np.array([0.3902063846869176, 0.390206384686918] + [1.0] * 8)
+        r_src = evaluation._mean_topk(scores)
+        assert (2.0 * scores[0, 0] - r_tgt[0]) > (2.0 * scores[0, 1] - r_tgt[1])
+        csls = (2.0 * scores - r_src[:, None]) - r_tgt
+        assert csls[0, 1] > csls[0, 0]
+        with tiled(11):
+            got = evaluation._retrieve(lambda cols: scores[:, cols].copy(), 1, 10,
+                                       np.arange(10), 1, r_tgt)
+        assert got.tolist() == [[1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rank(self, data):
+        scores, lex_rank, tiles, shape = score_block(data)
+        n, m = scores.shape
+        gold = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                           max_size=n)), dtype=np.intp)
+        mask = data.draw(arrays(bool, (n, m)))
+        mask[np.arange(n), gold] = True
+        # each gold's score known to within the slack before its own tile
+        slack = 1e-9
+        noise = data.draw(arrays(np.float64, n, elements=st.floats(-slack / 2, slack / 2)))
+        estimate = scores[np.arange(n), gold] + noise
+        with tiled(*shape):
+            got = evaluation._ranks(tiles, m, gold, estimate, slack,
+                                    lambda rows, cols: mask[rows, cols], lex_rank)
+        assert got.tolist() == _rank_of(scores, gold, mask, lex_rank).tolist()
+
+
+def test_retrieval_memory_does_not_grow_with_the_vocabulary(monkeypatch):
+    # Each chunk holds one column tile of scores and its rows' candidates,
+    # whatever the vocabulary's size: with 128-row chunks, an untiled score
+    # block would add 1 KiB per word.
+    monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 128)
+    monkeypatch.setattr(embeddings, "_TILE", 256)
+    threads(monkeypatch, 1)
+    peaks = []
+    for n_words in (2048, 8192):
+        rng = np.random.default_rng(5)
+        bi = BilingualSpace(
+            EmbeddingSpace([f"s{i}" for i in range(n_words)],
+                           rng.standard_normal((n_words, 16))),
+            EmbeddingSpace([f"t{i}" for i in range(n_words)],
+                           rng.standard_normal((n_words, 16))))
+        dictionary = BilingualDictionary([(f"s{i}", f"t{i}") for i in range(400)])
+        queries = [AnalogyQuery(english_context=f"t{i}", english_target=f"t{i + 1}",
+                                source_context=f"s{i + 2}", gold=f"s{i + 3}",
+                                gold_gender=("masculine", "feminine")[i % 2])
+                   for i in range(400)]
+        for space in (bi.source, bi.target):  # the per-space caches
+            space.row_norms()
+            space.lex_rank()
+        tracemalloc.start()
+        try:
+            word_translation_eval(bi, dictionary, csls=True)
+            csls = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            pair_translation_eval(bi, queries)
+            pairs = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append((csls, pairs))
+    for small, big in zip(*peaks):
+        assert big - small < 64 * (8192 - 2048)
+
+
 class TestChunkThreads:
     """Retrieval chunks scored on two threads give the serial results."""
 
@@ -570,9 +749,9 @@ class TestChunkThreads:
         scored_on = set()
         cosine_scores = evaluation._cosine_scores
 
-        def recording(space, queries):
+        def recording(space, queries, cols):
             scored_on.add(threading.current_thread())
-            return cosine_scores(space, queries)
+            return cosine_scores(space, queries, cols)
 
         monkeypatch.setattr(evaluation, "_cosine_scores", recording)
         before = set(threading.enumerate())
@@ -588,10 +767,10 @@ class TestChunkThreads:
             [word for word, _ in dictionary.items()][3:6])]
         cosine_scores = evaluation._cosine_scores
 
-        def exhausted(space, queries):
+        def exhausted(space, queries, cols):
             if np.array_equal(queries, second):
                 raise MemoryError("Unable to allocate 18.7 GiB")
-            return cosine_scores(space, queries)
+            return cosine_scores(space, queries, cols)
 
         monkeypatch.setattr(evaluation, "_cosine_scores", exhausted)
         before = set(threading.enumerate())
