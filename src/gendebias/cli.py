@@ -45,8 +45,7 @@ import numpy as np
 from . import __version__
 from .directions import (DEFAULT_RIDGE, bilingual_directions, build_directions)
 from .embeddings import (BilingualSpace, EmbeddingSpace, _log_duplicates, _norms,
-                         _read_text_embeddings, _unit_rows, _write_text,
-                         load_text_embeddings, unit_normalize)
+                         _read_text_embeddings, _unit_rows, _write_text)
 from .evaluation import (export_projections, pair_translation_eval,
                          word_similarity_eval, word_translation_eval,
                          write_projections_csv, write_translation_csv)
@@ -162,16 +161,19 @@ def _load_space(args, path):
     """The unit-normalized space in ``path``: read from the sidecar that
     matches the file's bytes and ``--max-words``, else parsed."""
     path = Path(path)
-    if not path.is_file():  # missing, or a pipe that cannot be read twice
-        return unit_normalize(load_text_embeddings(path, max_words=args.max_words))
-    before = path.stat()
-    key = _cache_key(_digest(args, path), args.max_words)
-    sidecar = path.with_name(path.name + _CACHE_SUFFIX)
-    cached = _read_sidecar(sidecar, key)
+    # a missing path, or a pipe that cannot be read twice, is only parsed
+    regular = path.is_file()
+    cached = None
+    if regular:
+        before = path.stat()
+        key = _cache_key(_digest(args, path), args.max_words)
+        sidecar = path.with_name(path.name + _CACHE_SUFFIX)
+        cached = _read_sidecar(sidecar, key)
     if cached is None:
         parsed = _read_text_embeddings(path, args.max_words)
         space, duplicates = parsed.space(unit=True), parsed.duplicates
-        _write_sidecar(path, before, sidecar, key, space, duplicates)
+        if regular:
+            _write_sidecar(path, before, sidecar, key, space, duplicates)
     else:
         space, duplicates = cached
     _log_duplicates(path, duplicates)

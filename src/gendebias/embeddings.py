@@ -306,15 +306,10 @@ class _TextParse(NamedTuple):
         unit_normalize would make of it, the matrix divided in place.  Call
         it once.  Raises ValueError naming the path and line of the first
         vector with a non-finite component."""
-        matrix = self.matrix
-        if unit:
-            # inf / inf: a non-finite row stays non-finite, reported below
-            with np.errstate(invalid="ignore"):
-                _unit(matrix, _norms(matrix), out=matrix)
         try:  # the space checks finiteness; only a failed check is located
-            return EmbeddingSpace._owning(self.words, matrix, normalized=unit)
+            return _owned_space(self.words, self.matrix, unit)
         except ValueError:
-            finite = np.isfinite(matrix).all(axis=1)
+            finite = np.isfinite(self.matrix).all(axis=1)
             if finite.all():
                 raise
             row = int(np.argmin(finite))
@@ -703,6 +698,18 @@ def _unit(matrix: np.ndarray, norms: np.ndarray, out: np.ndarray | None = None) 
     array), an all-zero row left zero."""
     scale = np.where(norms == 0.0, 1.0, norms)
     return np.divide(matrix, scale[:, None], out=out)
+
+
+def _owned_space(words: Sequence[str], matrix: np.ndarray, unit: bool,
+                 language_tag: str = "") -> EmbeddingSpace:
+    """The space holding ``matrix``, which no one else holds; with ``unit``,
+    the space unit_normalize would make of it, the matrix divided in place."""
+    if unit:
+        # inf / inf: a non-finite row stays non-finite, and the space refuses it
+        with np.errstate(invalid="ignore"):
+            _unit(matrix, _norms(matrix), out=matrix)
+    return EmbeddingSpace._owning(words, matrix, normalized=unit,
+                                  language_tag=language_tag)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

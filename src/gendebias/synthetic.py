@@ -17,11 +17,13 @@ Everything is deterministic in the seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import BilingualSpace, EmbeddingSpace, unit_normalize
+from .embeddings import (_NORM_BLOCK, BilingualSpace, EmbeddingSpace,
+                         _owned_space, _row_blocks)
 from .lexicon import BilingualDictionary, GenderLexicon
 
 DEFAULT_DIM = 50
@@ -31,6 +33,12 @@ DEFAULT_GRAMMATICAL_OFFSET = 0.4
 # masculine form sits deeper on its side, so it carries the stronger
 # association magnitude.
 DEFAULT_OCCUPATION_OFFSETS = (-0.3, 0.1)
+# A word's base row and the coefficients of its grammatical and semantic
+# axis terms, each added with its sign (u - c * axis and u + (-c) * axis are
+# the same floats).  A term a word does not have takes _NO_TERM: adding -0.0
+# changes no float.
+_TERMS = np.dtype([("base", np.intp), ("g", np.float64), ("s", np.float64)])
+_NO_TERM = -0.0
 
 
 @dataclass(frozen=True)
@@ -114,24 +122,38 @@ def planted_fixture(seed: int = 0, dim: int = DEFAULT_DIM,
     s_axis = np.zeros(dim)
     s_axis[1] = 1.0
 
-    def base() -> np.ndarray:
-        v = np.zeros(dim)
-        v[2:] = rng.standard_normal(dim - 2)
-        return base_scale * v / np.linalg.norm(v[2:])
-
+    # The loops only draw, in the fixture's order of Generator calls: a
+    # base's normals go to columns 2: of a row of `bases`, a word's noise to
+    # its own row, and the word records its base and the coefficients of
+    # its two axis terms.  The arithmetic runs after them.
+    bases = np.zeros((n_definitional + n_occupations + 2 * n_attributes
+                      + n_adjectives + n_nouns, dim))
+    drawn = itertools.count()
     src_words: list[str] = []
-    src_rows: list[np.ndarray] = []
+    src_rows = np.empty((2 * (n_definitional + n_occupations + n_attributes
+                              + n_adjectives) + n_nouns, dim))
+    src_terms = np.empty(len(src_rows), dtype=_TERMS)
     en_words: list[str] = []
-    en_rows: list[np.ndarray] = []
+    en_rows = np.empty((2 * (n_definitional + n_attributes) + n_occupations
+                        + n_adjectives + n_nouns, dim))
+    en_terms = np.empty(len(en_rows), dtype=_TERMS)
     dict_pairs: list[tuple[str, str]] = []
 
-    def put_source(word: str, vec: np.ndarray) -> None:
-        src_words.append(word)
-        src_rows.append(vec + noise * rng.standard_normal(dim))
+    def base() -> int:
+        b = next(drawn)
+        rng.standard_normal(out=bases[b, 2:])
+        return b
 
-    def put_english(word: str, vec: np.ndarray) -> None:
+    def put_source(word: str, b: int, g_coef: float,
+                   s_coef: float = _NO_TERM) -> None:
+        rng.standard_normal(out=src_rows[len(src_words)])
+        src_terms[len(src_words)] = b, g_coef, s_coef
+        src_words.append(word)
+
+    def put_english(word: str, b: int, s_coef: float = _NO_TERM) -> None:
+        rng.standard_normal(out=en_rows[len(en_words)])
+        en_terms[len(en_words)] = b, _NO_TERM, s_coef
         en_words.append(word)
-        en_rows.append(vec + noise * rng.standard_normal(dim))
 
     g = grammatical_offset
     occ_m_offset, occ_f_offset = occupation_offsets
@@ -141,12 +163,12 @@ def planted_fixture(seed: int = 0, dim: int = DEFAULT_DIM,
         u = base()
         amp = definitional_offset + 0.08 * rng.standard_normal()
         m, f = f"def_m{i:03d}", f"def_f{i:03d}"
-        put_source(m, u - g * g_axis - amp * s_axis)
-        put_source(f, u + g * g_axis + amp * s_axis)
+        put_source(m, u, -g, -amp)
+        put_source(f, u, g, amp)
         em, ef = f"en_def_m{i:03d}", f"en_def_f{i:03d}"
         en_amp = definitional_offset + 0.08 * rng.standard_normal()
-        put_english(em, u - en_amp * s_axis)
-        put_english(ef, u + en_amp * s_axis)
+        put_english(em, u, -en_amp)
+        put_english(ef, u, en_amp)
         dict_pairs += [(m, em), (f, ef)]
         definitional_pairs.append((m, f))
 
@@ -154,10 +176,10 @@ def planted_fixture(seed: int = 0, dim: int = DEFAULT_DIM,
     for i in range(n_occupations):
         u = base()
         m, f = f"occ_m{i:03d}", f"occ_f{i:03d}"
-        put_source(m, u - g * g_axis + occ_m_offset * s_axis)
-        put_source(f, u + g * g_axis + occ_f_offset * s_axis)
+        put_source(m, u, -g, occ_m_offset)
+        put_source(f, u, g, occ_f_offset)
         e = f"en_occ{i:03d}"
-        put_english(e, u + english_occupation_lean * rng.standard_normal() * s_axis)
+        put_english(e, u, english_occupation_lean * rng.standard_normal())
         dict_pairs += [(m, e), (f, e)]
         occupation_pairs.append((m, f, e))
 
@@ -165,11 +187,11 @@ def planted_fixture(seed: int = 0, dim: int = DEFAULT_DIM,
     for i in range(n_attributes):
         m, f = f"attr_m{i:03d}", f"attr_f{i:03d}"
         um, uf = base(), base()
-        put_source(m, um - g * g_axis - attribute_offset * s_axis)
-        put_source(f, uf + g * g_axis + attribute_offset * s_axis)
+        put_source(m, um, -g, -attribute_offset)
+        put_source(f, uf, g, attribute_offset)
         em, ef = f"en_attr_m{i:03d}", f"en_attr_f{i:03d}"
-        put_english(em, um - attribute_offset * s_axis)
-        put_english(ef, uf + attribute_offset * s_axis)
+        put_english(em, um, -attribute_offset)
+        put_english(ef, uf, attribute_offset)
         dict_pairs += [(m, em), (f, ef)]
         attributes_male.append(m)
         attributes_female.append(f)
@@ -178,8 +200,8 @@ def planted_fixture(seed: int = 0, dim: int = DEFAULT_DIM,
     for i in range(n_adjectives):
         u = base()
         m, f = f"adj_m{i:03d}", f"adj_f{i:03d}"
-        put_source(m, u - g * g_axis)
-        put_source(f, u + g * g_axis)
+        put_source(m, u, -g)
+        put_source(f, u, g)
         e = f"en_adj{i:03d}"
         put_english(e, u)
         dict_pairs += [(m, e), (f, e)]
@@ -192,7 +214,7 @@ def planted_fixture(seed: int = 0, dim: int = DEFAULT_DIM,
             w = f"noun_{cls}{i:03d}"
             sign = -1.0 if cls == "m" else 1.0
             lean = 0.1 * rng.uniform(-1.0, 1.0)
-            put_source(w, u + sign * g * g_axis + lean * s_axis)
+            put_source(w, u, sign * g, lean)
             e = f"en_noun_{cls}{i:03d}"
             put_english(e, u)
             dict_pairs.append((w, e))
@@ -200,17 +222,28 @@ def planted_fixture(seed: int = 0, dim: int = DEFAULT_DIM,
             if len(inanimate) < n_inanimate:
                 inanimate.append(w)
 
-    src_matrix = np.vstack(src_rows)
+    # Each row is built with the operations of building it alone, in their
+    # order: base_scale * base / norm, the grammatical term, the semantic
+    # term, the noise.  A base's norm is np.linalg.norm's, the square root
+    # of one ddot (a batched reduction sums in another order).
+    norms = np.sqrt([v.dot(v) for v in bases[:, 2:]])
+    bases *= base_scale
+    bases /= norms[:, None]
+    for rows, terms in ((src_rows, src_terms), (en_rows, en_terms)):
+        for block in _row_blocks(len(rows), max(1, _NORM_BLOCK // dim)):
+            vec = bases[terms["base"][block]]
+            vec += terms["g"][block, None] * g_axis
+            vec += terms["s"][block, None] * s_axis
+            rows[block] *= noise
+            rows[block] += vec
+    del bases
     if rotate_source:
         rotation = random_orthogonal(dim, rng)
-        src_matrix = src_matrix @ rotation.T
+        src_rows = src_rows @ rotation.T
     else:
         rotation = np.eye(dim)
-
-    source = unit_normalize(EmbeddingSpace(src_words, src_matrix,
-                                           language_tag="src"))
-    english = unit_normalize(EmbeddingSpace(en_words, np.vstack(en_rows),
-                                            language_tag="en"))
+    source = _owned_space(src_words, src_rows, unit=True, language_tag="src")
+    english = _owned_space(en_words, en_rows, unit=True, language_tag="en")
     lexicon = GenderLexicon(
         definitional_pairs=definitional_pairs,
         grammatical_masculine=nouns_m,

@@ -2,7 +2,9 @@
 
 Everything here favors transparency over speed: double loops, full sorts,
 explicit enumeration, dense eigensolvers.  Nothing imports the library's
-own numerics, so agreement between the two is meaningful.
+own numerics, so agreement between the two is meaningful.  The exception is
+planted_fixture_rowwise, the reference for the fixture's bytes, which keeps
+the library's containers and normalization.
 """
 
 import itertools
@@ -10,6 +12,10 @@ import math
 
 import numpy as np
 import scipy.linalg
+
+from gendebias import synthetic
+from gendebias.embeddings import EmbeddingSpace, unit_normalize
+from gendebias.lexicon import BilingualDictionary, GenderLexicon
 
 
 def cosine(a, b):
@@ -233,3 +239,147 @@ def procrustes_rotation(x_rows, y_rows):
     r, _ = scipy.linalg.orthogonal_procrustes(np.asarray(x_rows),
                                               np.asarray(y_rows))
     return r.T
+
+
+def planted_fixture_rowwise(seed=0, dim=synthetic.DEFAULT_DIM, n_definitional=20,
+                            n_occupations=30, n_attributes=8, n_adjectives=7,
+                            n_nouns=370, n_inanimate=60,
+                            grammatical_offset=synthetic.DEFAULT_GRAMMATICAL_OFFSET,
+                            occupation_offsets=synthetic.DEFAULT_OCCUPATION_OFFSETS,
+                            definitional_offset=0.3, attribute_offset=0.3,
+                            noise=synthetic.DEFAULT_NOISE, base_scale=0.8,
+                            english_occupation_lean=0.05, rotate_source=True):
+    """gendebias.planted_fixture built row by row: each word's row made and
+    noised on its own, then stacked, rotated and normalized.  Its draws and
+    operations, in their order, define the fixture's bytes, which the
+    library's build must match for the same arguments."""
+    if dim < 4:
+        raise ValueError("dim must be at least 4")
+    if n_nouns % 2 != 0:
+        raise ValueError("n_nouns must be even")
+    if n_inanimate > n_nouns:
+        raise ValueError("n_inanimate cannot exceed n_nouns")
+    rng = np.random.default_rng(seed)
+    g_axis = np.zeros(dim)
+    g_axis[0] = 1.0
+    s_axis = np.zeros(dim)
+    s_axis[1] = 1.0
+
+    def base() -> np.ndarray:
+        v = np.zeros(dim)
+        v[2:] = rng.standard_normal(dim - 2)
+        return base_scale * v / np.linalg.norm(v[2:])
+
+    src_words: list[str] = []
+    src_rows: list[np.ndarray] = []
+    en_words: list[str] = []
+    en_rows: list[np.ndarray] = []
+    dict_pairs: list[tuple[str, str]] = []
+
+    def put_source(word: str, vec: np.ndarray) -> None:
+        src_words.append(word)
+        src_rows.append(vec + noise * rng.standard_normal(dim))
+
+    def put_english(word: str, vec: np.ndarray) -> None:
+        en_words.append(word)
+        en_rows.append(vec + noise * rng.standard_normal(dim))
+
+    g = grammatical_offset
+    occ_m_offset, occ_f_offset = occupation_offsets
+
+    definitional_pairs = []
+    for i in range(n_definitional):
+        u = base()
+        amp = definitional_offset + 0.08 * rng.standard_normal()
+        m, f = f"def_m{i:03d}", f"def_f{i:03d}"
+        put_source(m, u - g * g_axis - amp * s_axis)
+        put_source(f, u + g * g_axis + amp * s_axis)
+        em, ef = f"en_def_m{i:03d}", f"en_def_f{i:03d}"
+        en_amp = definitional_offset + 0.08 * rng.standard_normal()
+        put_english(em, u - en_amp * s_axis)
+        put_english(ef, u + en_amp * s_axis)
+        dict_pairs += [(m, em), (f, ef)]
+        definitional_pairs.append((m, f))
+
+    occupation_pairs = []
+    for i in range(n_occupations):
+        u = base()
+        m, f = f"occ_m{i:03d}", f"occ_f{i:03d}"
+        put_source(m, u - g * g_axis + occ_m_offset * s_axis)
+        put_source(f, u + g * g_axis + occ_f_offset * s_axis)
+        e = f"en_occ{i:03d}"
+        put_english(e, u + english_occupation_lean * rng.standard_normal() * s_axis)
+        dict_pairs += [(m, e), (f, e)]
+        occupation_pairs.append((m, f, e))
+
+    attributes_male, attributes_female = [], []
+    for i in range(n_attributes):
+        m, f = f"attr_m{i:03d}", f"attr_f{i:03d}"
+        um, uf = base(), base()
+        put_source(m, um - g * g_axis - attribute_offset * s_axis)
+        put_source(f, uf + g * g_axis + attribute_offset * s_axis)
+        em, ef = f"en_attr_m{i:03d}", f"en_attr_f{i:03d}"
+        put_english(em, um - attribute_offset * s_axis)
+        put_english(ef, uf + attribute_offset * s_axis)
+        dict_pairs += [(m, em), (f, ef)]
+        attributes_male.append(m)
+        attributes_female.append(f)
+
+    adjective_pairs = []
+    for i in range(n_adjectives):
+        u = base()
+        m, f = f"adj_m{i:03d}", f"adj_f{i:03d}"
+        put_source(m, u - g * g_axis)
+        put_source(f, u + g * g_axis)
+        e = f"en_adj{i:03d}"
+        put_english(e, u)
+        dict_pairs += [(m, e), (f, e)]
+        adjective_pairs.append((e, m, f))
+
+    nouns_m, nouns_f, inanimate = [], [], []
+    for i in range(n_nouns // 2):
+        for cls in ("m", "f"):
+            u = base()
+            w = f"noun_{cls}{i:03d}"
+            sign = -1.0 if cls == "m" else 1.0
+            lean = 0.1 * rng.uniform(-1.0, 1.0)
+            put_source(w, u + sign * g * g_axis + lean * s_axis)
+            e = f"en_noun_{cls}{i:03d}"
+            put_english(e, u)
+            dict_pairs.append((w, e))
+            (nouns_m if cls == "m" else nouns_f).append(w)
+            if len(inanimate) < n_inanimate:
+                inanimate.append(w)
+
+    src_matrix = np.vstack(src_rows)
+    if rotate_source:
+        rotation = synthetic.random_orthogonal(dim, rng)
+        src_matrix = src_matrix @ rotation.T
+    else:
+        rotation = np.eye(dim)
+
+    source = unit_normalize(EmbeddingSpace(src_words, src_matrix,
+                                           language_tag="src"))
+    english = unit_normalize(EmbeddingSpace(en_words, np.vstack(en_rows),
+                                            language_tag="en"))
+    lexicon = GenderLexicon(
+        definitional_pairs=definitional_pairs,
+        grammatical_masculine=nouns_m,
+        grammatical_feminine=nouns_f,
+        occupation_pairs=occupation_pairs,
+        inanimate_nouns=inanimate,
+        attributes_male=attributes_male,
+        attributes_female=attributes_female,
+        adjective_pairs=adjective_pairs,
+    )
+    english_lexicon = GenderLexicon(
+        definitional_pairs=[(f"en_def_m{i:03d}", f"en_def_f{i:03d}")
+                            for i in range(n_definitional)],
+        attributes_male=[f"en_attr_m{i:03d}" for i in range(n_attributes)],
+        attributes_female=[f"en_attr_f{i:03d}" for i in range(n_attributes)],
+    )
+    return synthetic.PlantedFixture(
+        source=source, english=english, lexicon=lexicon,
+        english_lexicon=english_lexicon,
+        seed_dictionary=BilingualDictionary(dict_pairs),
+        rotation=rotation, grammatical_axis=g_axis, semantic_axis=s_axis)

@@ -614,6 +614,37 @@ class TestStepCost:
         assert gendebias.cli._load_space(args, path).matrix.tobytes() == \
             space.matrix.tobytes()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_holds_its_matrix_once(self, tmp_path):
+        # a pipe has no size to preallocate from, so the parse grows its
+        # array; it is then divided in place (1.25 times the matrix measured)
+        rng = np.random.default_rng(0)
+        path = tmp_path / "s.vec"
+        save_text_embeddings(EmbeddingSpace([f"w{i}" for i in range(2000)],
+                                            rng.standard_normal((2000, 300))), path)
+        data = path.read_bytes()
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with open(write_end, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        args = argparse.Namespace(max_words=None, digests={})
+        tracemalloc.start()
+        try:
+            space = gendebias.cli._load_space(args, f"/dev/fd/{read_end}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            os.close(read_end)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert peak <= 1.3 * space.matrix.nbytes
+        assert space.matrix.tobytes() == \
+            gendebias.cli._load_space(args, path).matrix.tobytes()
+
     def test_sidecar_writer_writes_what_np_savez_writes(self, monkeypatch):
         # a zip member's header holds the time it was written
         monkeypatch.setattr(time, "time", lambda: 1.7e9)
@@ -733,6 +764,19 @@ class TestSidecar:
             return parse(path, max_words)
 
         monkeypatch.setattr(gendebias.cli, "_read_text_embeddings", counted)
+        return seen
+
+    @pytest.fixture()
+    def lookups(self, monkeypatch):
+        """Sidecars the CLI looked up, in order."""
+        seen = []
+        lookup = gendebias.cli._read_sidecar
+
+        def counted(sidecar, key):
+            seen.append(Path(sidecar).name)
+            return lookup(sidecar, key)
+
+        monkeypatch.setattr(gendebias.cli, "_read_sidecar", counted)
         return seen
 
     @staticmethod
@@ -1003,7 +1047,7 @@ class TestSidecar:
         assert not self.sidecar(files["src"]).exists()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_pipe_is_parsed_as_given(self, files, tmp_path, capsys, parses):
+    def test_pipe_is_parsed_as_given(self, files, tmp_path, capsys, lookups):
         # what `--embeddings <(zcat es.vec.gz)` passes: a pipe that can be
         # read only once, so it is parsed without hashing it first
         read_end, write_end = os.pipe()
@@ -1023,7 +1067,7 @@ class TestSidecar:
             os.close(read_end)
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert parses == []   # no sidecar lookup
+        assert lookups == []
         self.run(["eval-similarity", "--embeddings", str(files["src"]),
                   "--dataset", str(files["sim"]),
                   "--out", str(tmp_path / "file.json")], capsys)
