@@ -34,6 +34,15 @@ _PARTITION_ROWS = 16
 # product (test_column_tiles_of_a_product_are_bit_identical).
 _TILE = 4096
 
+# Smallest buffer, in float64s, a block of cosine scores is computed in:
+# 32 MiB and a page.  glibc's malloc maps a block above 32 MiB on its own
+# and unmaps it when freed, however its dynamic mmap threshold has moved,
+# and only the pages a product writes are resident.  Smaller tiles (a
+# vocabulary's last, a short chunk's) would otherwise come from the heap
+# arena of the chunk thread that freed the last one, and how much of that
+# stays resident, so the process's peak RSS, would vary with thread timing.
+_SCORE_BUFFER = ((32 << 20) + 4096) // 8
+
 # Components per step of a row-norm pass: the squares stay in cache.
 _NORM_BLOCK = 1 << 16
 
@@ -735,7 +744,10 @@ def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray, cols: slice) -> n
         raise ValueError("cosine undefined for zero query vector")
     norms = space.row_norms()[cols]
     live = norms > 0.0
-    scores = (queries / qn[:, None]) @ space.matrix[cols].T
+    block = space.matrix[cols]
+    size = len(queries) * len(block)
+    scores = np.empty(max(size, _SCORE_BUFFER))[:size].reshape(len(queries), len(block))
+    np.matmul(queries / qn[:, None], block.T, out=scores)
     scores /= np.where(live, norms, 1.0)
     scores[:, ~live] = -np.inf
     return scores

@@ -551,6 +551,22 @@ def test_column_tiles_of_a_product_are_bit_identical():
                                   whole[:, cols]), (width, cols)
 
 
+def test_short_score_tiles_sit_in_a_buffer_malloc_maps_on_its_own():
+    # glibc's malloc maps a block above 32 MiB on its own and unmaps it when
+    # freed, whatever its dynamic threshold; a smaller tile could stay
+    # resident in a chunk thread's heap arena, so the peak RSS would vary
+    # with thread timing
+    rng = np.random.default_rng(7)
+    space = EmbeddingSpace([f"w{i}" for i in range(300)],
+                           rng.standard_normal((300, 16)))
+    queries = rng.standard_normal((5, 16))
+    scores = embeddings._cosine_scores(space, queries, slice(0, 300))
+    assert scores.shape == (5, 300) and scores.flags.c_contiguous
+    assert scores.base.nbytes > 32 << 20
+    unit = queries / np.linalg.norm(queries, axis=1)[:, None]
+    assert np.array_equal(scores, unit @ space.matrix.T / space.row_norms())
+
+
 # Quantized scores force exact ties, -inf is what a zero row scores, and
 # scores 1e-13 or one ulp apart fall within the CSLS and gold slacks.
 TILE_SCORES = st.one_of(
