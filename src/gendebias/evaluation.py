@@ -70,9 +70,10 @@ def word_similarity_eval(space: EmbeddingSpace,
                          ) -> EvalReport:
     """Pearson correlation between model cosines and human scores over the
     covered rows of a similarity dataset (a zero vector leaves its row out).
-    Raises ValueError when a row's human score, or a covered row's model
-    cosine, is not finite (naming the row), or when either column is
-    constant (r is undefined)."""
+    The arithmetic is scipy 1.17's ``pearsonr``, done in numpy, so r is
+    that version's float.  Raises ValueError when a row's human score, or a
+    covered row's model cosine, is not finite (naming the row), or when
+    either column is constant (r is undefined)."""
     if not dataset:
         raise ValueError("empty similarity dataset")
     model, human = [], []
@@ -97,12 +98,22 @@ def word_similarity_eval(space: EmbeddingSpace,
         if min(column) == max(column):
             raise ValueError(f"Pearson r is undefined: the {name} of all "
                              f"{len(model)} covered rows are equal")
-    from scipy import stats  # imported here: no other CLI step needs scipy
-
-    r, _ = stats.pearsonr(model, human)
+    r = np.clip(np.dot(_centred_unit(model), _centred_unit(human)), -1.0, 1.0)
     return EvalReport(task="word_similarity",
                       metrics={"pearson_r": float(r), "n_pairs": float(len(model))},
                       coverage=len(model) / len(dataset))
+
+
+def _centred_unit(column: Sequence[float]) -> np.ndarray:
+    """column minus its mean, over its Euclidean norm.  As in scipy's
+    ``pearsonr``, the norm is taken of the column over its largest
+    magnitude, then scaled back, so that no square overflows.  ``axis=-1``
+    makes norm sum the squares as scipy's does; without an axis it takes a
+    dot product, which rounds differently."""
+    column = np.asarray(column, dtype=np.float64)
+    centred = column - column.mean()
+    largest = abs(centred).max()
+    return centred / (largest * np.linalg.norm(centred / largest, axis=-1))
 
 
 def _chunk_threads() -> int:

@@ -326,8 +326,11 @@ def bias_correlation(scores_a: Mapping[str, float],
                      scores_b: Mapping[str, float]) -> tuple[float, float]:
     """Spearman correlation between two per-word score maps over their key
     intersection (ties get average ranks; p from the t approximation).
-    Raises ValueError when a score there is not finite (naming its key and
-    map) or when either map is constant there (rho is undefined)."""
+    The arithmetic is scipy 1.17's ``spearmanr``, so rho and p are that
+    version's floats; only the Student-t tail, ``scipy.special.stdtr``, is
+    imported.  Raises ValueError when a score there is not finite (naming
+    its key and map) or when either map is constant there (rho is
+    undefined)."""
     keys = sorted(set(scores_a) & set(scores_b))
     if len(keys) < MIN_CORRELATION_KEYS:
         raise ValueError(f"need at least {MIN_CORRELATION_KEYS} shared words, "
@@ -342,7 +345,19 @@ def bias_correlation(scores_a: Mapping[str, float],
         if column.min() == column.max():
             raise ValueError(f"Spearman rho is undefined: the {name} map scores all "
                              f"{len(keys)} shared words equally")
-    from scipy import stats  # imported here: no other CLI step needs scipy
+    # two rows in memory, as scipy's rank columns transpose to, so np.cov
+    # sums in scipy's order
+    rho = np.corrcoef(np.vstack((_average_ranks(a), _average_ranks(b))))[1, 0]
+    dof = len(keys) - 2
+    with np.errstate(divide="ignore"):  # rho = +-1 gives t = +-inf, p = 0
+        t = rho * np.sqrt((dof / ((rho + 1.0) * (1.0 - rho))).clip(0))
+    from scipy.special import stdtr  # imported here: no other CLI step needs scipy
 
-    rho, p = stats.spearmanr(a, b)
-    return float(rho), float(p)
+    return float(rho), float(2 * stdtr(dof, -abs(t)))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, tied values sharing the mean of their ranks.  The
+    ranks are half-integers, so they are exactly scipy's ``rankdata``."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]

@@ -532,11 +532,24 @@ class TestEvaluationCommands:
 
 
 class TestStepCost:
-    """A CLI step holds only what it runs: scipy.stats is imported by the
-    steps that correlate, and a loaded matrix is held once."""
+    """A CLI step holds only what it runs: no step imports scipy.stats,
+    scipy.special is imported by the step that correlates per-word bias
+    scores, and a loaded matrix is held once."""
+
+    @staticmethod
+    def fresh_run(script, args, cwd):
+        """The JSON that ``script``, run with ``args`` in a fresh
+        interpreter, prints last (this one has scipy from tests/oracles.py)."""
+        package_root = str(Path(gendebias.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        cwd.mkdir()
+        done = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
 
     def test_scipy_is_imported_only_to_correlate(self, cli_files, tmp_path):
-        # in a fresh interpreter: this one has scipy from tests/oracles.py
         files = {k: str(v) for k, v in cli_files.items()}
         fresh, here = tmp_path / "fresh", tmp_path / "here"
         steps = [
@@ -554,27 +567,45 @@ class TestStepCost:
         script = (
             "import json, sys\n"
             "import gendebias, gendebias.cli\n"
-            "loaded = ['scipy.stats' in sys.modules]\n"
+            "def loaded():\n"
+            "    return [m in sys.modules for m in ('scipy.stats', 'scipy.special')]\n"
+            "seen = [loaded()]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert gendebias.cli.main(argv) == 0, argv\n"
-            "    loaded.append('scipy.stats' in sys.modules)\n"
-            "print(json.dumps(loaded))\n")
-        package_root = str(Path(gendebias.cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        fresh.mkdir()
-        done = subprocess.run([sys.executable, "-c", script, json.dumps(steps)],
-                              cwd=fresh, env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False,
-                                                            True, True]
+            "    seen.append(loaded())\n"
+            "print(json.dumps(seen))\n")
+        assert self.fresh_run(script, [json.dumps(steps)], fresh) == [
+            [False, False], [False, False], [False, False],
+            [False, True], [False, True]]
         # the correlating steps write the same bytes with scipy imported early
         here.mkdir()
         for argv in steps[2:]:
             out = argv[-1]
             assert main(argv[:-1] + [str(here / out)]) == 0
             assert (here / out).read_bytes() == (fresh / out).read_bytes(), out
+
+    def test_eval_similarity_imports_no_scipy(self, cli_files, tmp_path):
+        script = (
+            "import json, sys\n"
+            "import gendebias.cli\n"
+            "assert gendebias.cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.partition('.')[0] == 'scipy')))\n")
+        assert self.fresh_run(script, [
+            "eval-similarity", "--embeddings", str(cli_files["src"]),
+            "--dataset", str(cli_files["sim"]), "--out", "s.json"],
+            tmp_path / "fresh") == []
+
+    def test_library_correlation_leaves_scipy_stats_unloaded(self, tmp_path):
+        # perfbench's api_study calls bias_correlation directly, not the CLI
+        script = (
+            "import json, sys\n"
+            "import gendebias\n"
+            "keys = [f'w{i}' for i in range(8)]\n"
+            "gendebias.bias_correlation(dict(zip(keys, range(8))),\n"
+            "                           dict(zip(keys, [3, 1, 4, 1, 5, 9, 2, 6])))\n"
+            "print(json.dumps([m in sys.modules for m in ('scipy.stats', 'scipy.special')]))\n")
+        assert self.fresh_run(script, [], tmp_path / "fresh") == [False, True]
 
     @pytest.mark.parametrize("load", ["parse", "sidecar"])
     def test_a_load_holds_its_matrix_once(self, tmp_path, load):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -162,6 +162,29 @@ class TestWordSimilarity:
         space = small_space(10, 4, seed=6)
         with pytest.raises(ValueError, match="empty"):
             word_similarity_eval(space, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(5, 150), st.floats(1e-4, 1e4),
+           st.sampled_from(["drawn", "ties", "collinear"]),
+           st.integers(0, 2**32 - 1))
+    def test_pearson_r_bit_identical_to_scipy(self, n, scale, link, seed):
+        import scipy.stats
+
+        rng = np.random.default_rng(seed)
+        space = EmbeddingSpace([f"w{i}" for i in range(2 * n)],
+                               rng.standard_normal((2 * n, 8)))
+        model = [embeddings.cosine(space.vector(f"w{2 * i}"),
+                                   space.vector(f"w{2 * i + 1}")) for i in range(n)]
+        human = scale * {"drawn": lambda: rng.uniform(0.0, 10.0, n),
+                         "ties": lambda: rng.integers(0, 4, n).astype(float),
+                         "collinear": lambda: np.array(model)
+                                              + 1e-9 * rng.standard_normal(n),
+                         }[link]()
+        assume(human.min() != human.max())
+        dataset = [(f"w{2 * i}", f"w{2 * i + 1}", float(h))
+                   for i, h in enumerate(human)]
+        r = word_similarity_eval(space, dataset).metrics["pearson_r"]
+        assert r == scipy.stats.pearsonr(model, human.tolist()).statistic
 
     def test_zero_vector_rows_skipped(self):
         rng = np.random.default_rng(7)

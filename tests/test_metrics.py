@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -390,3 +390,29 @@ class TestBiasCorrelation:
         want = oracles.spearman([a[k] for k in sorted(a)],
                                 [b[k] for k in sorted(b)])
         assert rho == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 3.0])
+                    | st.floats(-1e6, 1e6), min_size=5, max_size=200),
+           st.sampled_from(["ties", "drawn", "monotone", "antitone", "near"]),
+           st.integers(0, 2**32 - 1))
+    @example([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "monotone", 0)   # rho is 1.0
+    @example([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "antitone", 0)   # rho is -1.0
+    def test_bias_correlation_bit_identical_to_scipy(self, values, link, seed):
+        import scipy.stats
+
+        a = np.array(values)
+        rng = np.random.default_rng(seed)
+        b = {"ties": lambda: rng.choice([-1.0, 0.0, 2.5, 7.0], a.size),
+             "drawn": lambda: rng.standard_normal(a.size),
+             "monotone": lambda: 2.0 * a,
+             "antitone": lambda: -a,
+             "near": lambda: a + 1e-3 * a.std() * rng.standard_normal(a.size),
+             }[link]()
+        assume(a.min() != a.max() and b.min() != b.max())
+        keys = [f"w{i:03d}" for i in range(a.size)]
+        rho, p = bias_correlation(dict(zip(keys, a)), dict(zip(keys, b)))
+        want = scipy.stats.spearmanr(a, b)
+        assert (rho, p) == (want.statistic, want.pvalue)
+        if abs(rho) == 1.0:   # t is infinite
+            assert p == 0.0
