@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .directions import (DEFAULT_RIDGE, bilingual_directions, build_directions)
 from .embeddings import (BilingualSpace, EmbeddingSpace, _log_duplicates, _norms,
-                         _read_text_embeddings, _unit_rows, _write_text)
+                         _read_text_embeddings, _unit, _write_text)
 from .evaluation import (export_projections, pair_translation_eval,
                          word_similarity_eval, word_translation_eval,
                          write_projections_csv, write_translation_csv)
@@ -248,7 +248,7 @@ def _save_space(space: EmbeddingSpace, path: Path) -> None:
         _write_text(space, tmp, readback)
     before = path.stat()
     key = _cache_key(_sha256(path), None)
-    unit = _unit_rows(space, readback, _norms(readback), out=readback)
+    unit = space._derive(_unit(readback, _norms(readback), out=readback), normalized=True)
     _write_sidecar(path, before, path.with_name(path.name + _CACHE_SUFFIX), key, unit, 0)
 
 

@@ -15,10 +15,8 @@ component removed.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -148,17 +146,8 @@ def grammatical_direction(space: EmbeddingSpace,
     masc = [w for w in masculine if w in space]
     fem = [w for w in feminine if w in space]
     _check_lda_classes(len(masc), len(fem), space.dim, ridge)
-    xm = space.matrix[space.indices(masc)]
-    xf = space.matrix[space.indices(fem)]
-    mu_m = xm.mean(axis=0)
-    mu_f = xf.mean(axis=0)
-    cm = xm - mu_m
-    cf = xf - mu_f
-    pooled = (cm.T @ cm + cf.T @ cf) / (len(masc) + len(fem) - 2)
-    d = _lda_solve(pooled, mu_f - mu_m, ridge)
-    if float(xf.mean(axis=0) @ d) < float(xm.mean(axis=0) @ d):
-        d = -d
-    return d
+    return _lda_fit(_scatter_stats(space.matrix[space.indices(masc)]),
+                    _scatter_stats(space.matrix[space.indices(fem)]), ridge)[0]
 
 
 def _scatter_stats(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -176,6 +165,17 @@ def _merge_stats(parts) -> tuple[int, np.ndarray, np.ndarray]:
     mean = sum(p[0] * p[1] for p in parts) / n
     spread = np.vstack([np.sqrt(p[0]) * (p[1] - mean) for p in parts])
     return n, mean, sum(p[2] for p in parts) + spread.T @ spread
+
+
+def _lda_fit(masc, fem, ridge: float) -> tuple[np.ndarray, float, float]:
+    """(d, mu_m @ d, mu_f @ d): the LDA direction of two noun classes given
+    by their (count, mean mu, centred scatter), oriented so mu_f projects higher."""
+    (n_m, mu_m, s_m), (n_f, mu_f, s_f) = masc, fem
+    d = _lda_solve((s_m + s_f) / (n_m + n_f - 2), mu_f - mu_m, ridge)
+    proj_m, proj_f = float(mu_m @ d), float(mu_f @ d)
+    if proj_f < proj_m:
+        return -d, -proj_m, -proj_f
+    return d, proj_m, proj_f
 
 
 def lda_cross_validation(space: EmbeddingSpace,
@@ -200,24 +200,20 @@ def lda_cross_validation(space: EmbeddingSpace,
         raise ValueError(f"need at least {folds} covered words per class, "
                          f"have {len(masc)}/{len(fem)}")
     rng = np.random.default_rng(seed)
-    blocks = []  # per class, the rows of each fold
+    parts = []  # per class, the matrix row indices of each fold
     for words in (masc, fem):
-        rows = space.matrix[space.indices(words)]
+        idx = space.indices(words)
         order = rng.permutation(len(words))
-        blocks.append([rows[part] for part in np.array_split(order, folds)])
-    stats = [[_scatter_stats(b) for b in cls] for cls in blocks]
+        parts.append([idx[part] for part in np.array_split(order, folds)])
+    stats = [[_scatter_stats(space.matrix[p]) for p in cls] for cls in parts]
     correct = 0
     for k in range(folds):
-        (n_m, mu_m, s_m), (n_f, mu_f, s_f) = (
-            _merge_stats(cls[:k] + cls[k + 1:]) for cls in stats)
-        _check_lda_classes(n_m, n_f, space.dim, ridge)
-        d = _lda_solve((s_m + s_f) / (n_m + n_f - 2), mu_f - mu_m, ridge)
-        proj_m, proj_f = float(mu_m @ d), float(mu_f @ d)
-        if proj_f < proj_m:
-            d, proj_m, proj_f = -d, -proj_m, -proj_f
+        masc_stats, fem_stats = (_merge_stats(cls[:k] + cls[k + 1:]) for cls in stats)
+        _check_lda_classes(masc_stats[0], fem_stats[0], space.dim, ridge)
+        d, proj_m, proj_f = _lda_fit(masc_stats, fem_stats, ridge)
         threshold = (proj_m + proj_f) / 2.0
-        correct += int(np.count_nonzero(blocks[0][k] @ d <= threshold))
-        correct += int(np.count_nonzero(blocks[1][k] @ d > threshold))
+        correct += int(np.count_nonzero(space.matrix[parts[0][k]] @ d <= threshold))
+        correct += int(np.count_nonzero(space.matrix[parts[1][k]] @ d > threshold))
     return correct / (len(masc) + len(fem))
 
 
@@ -281,11 +277,6 @@ class GenderDirections:
             d["lda_cv_accuracy"] = float(self.lda_cv_accuracy)
         return d
 
-    def save_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "GenderDirections":
         return cls(
@@ -297,10 +288,6 @@ class GenderDirections:
             lda_cv_accuracy=(float(d["lda_cv_accuracy"])
                              if "lda_cv_accuracy" in d else None),
         )
-
-    @classmethod
-    def load_json(cls, path) -> "GenderDirections":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _bundle(d_pca: np.ndarray, explained: float, space: EmbeddingSpace,

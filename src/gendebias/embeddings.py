@@ -690,16 +690,7 @@ def _write_text(space: EmbeddingSpace, path, readback: np.ndarray | None = None)
 def unit_normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     """Scale every vector to unit Euclidean norm; an all-zero vector stays
     zero."""
-    return _unit_rows(space, space.matrix, space.row_norms())
-
-
-def _unit_rows(space: EmbeddingSpace, matrix: np.ndarray, norms: np.ndarray,
-               out: np.ndarray | None = None) -> EmbeddingSpace:
-    """``space`` with ``matrix`` (of its shape, row norms ``norms``) divided
-    by its row norms as its unit-normalized vectors, an all-zero row left
-    zero.  The quotient goes to ``out`` (``matrix`` itself may be given, if
-    no one else holds it) or to a new array."""
-    return space._derive(_unit(matrix, norms, out), normalized=True)
+    return space._derive(_unit(space.matrix, space.row_norms()), normalized=True)
 
 
 def _unit(matrix: np.ndarray, norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -806,17 +797,6 @@ def _select(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray,
     return cols[order][first[:, None] + np.arange(k)]
 
 
-def _top_rows(scores: np.ndarray, lex_rank: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the ``k`` best scores of each row, best first, equal
-    scores in ascending ``lex_rank`` order, as a full per-row lexsort on
-    (lex_rank, -score) cut at k.  Only the columns scoring at least their
-    row's k-th best value (every tie with it included) are sorted."""
-    n, m = scores.shape
-    k = min(k, m)
-    rows, cols, top = _shortlist(lambda rows: scores[rows], n, k)
-    return _select(rows, cols, top, lex_rank, n, k)
-
-
 def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
           exclude: Iterable[str] = ()) -> list[Neighbor]:
     """Exact brute-force k nearest neighbors by cosine.
@@ -838,8 +818,10 @@ def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
     candidates = np.nonzero(mask)[0]
     if candidates.size == 0:
         raise ValueError("empty candidate set after exclusion")
-    top = candidates[_top_rows(scores[None, candidates],
-                               space.lex_rank()[candidates], k)[0]]
+    k = min(k, candidates.size)
+    block = scores[None, candidates]
+    rows, cols, top = _shortlist(lambda rows: block[rows], 1, k)
+    top = candidates[_select(rows, cols, top, space.lex_rank()[candidates], 1, k)[0]]
     return [Neighbor(word=space.words[i], score=float(np.clip(scores[i], -1.0, 1.0)),
                      rank=r + 1)
             for r, i in enumerate(top)]

@@ -206,15 +206,14 @@ def _csls_adjustment(bi: BilingualSpace) -> np.ndarray:
 def _retrieve(score_tile, n: int, m: int, lex_rank: np.ndarray, k: int,
               r_tgt: np.ndarray | None = None) -> np.ndarray:
     """Column indices of the ``k`` best of ``m`` columns for each of ``n``
-    rows, best first, equal scores in ascending ``lex_rank`` order: what
-    _top_rows gives on the whole score block, or with ``r_tgt`` on its CSLS
-    scores (2·cos - r_src) - r_tgt, r_src being the _mean_topk of each row's
-    CSLS_NEIGHBORHOOD best cosines.  ``score_tile(cols)`` gives the block's
-    columns ``cols``, one tile of _column_tiles(m) at a time.  Between tiles
-    only each row's candidates are kept: the columns that can still be among
-    its k best, ties included (for CSLS, those whose 2·cos - r_tgt lies
-    within _CSLS_SLACK of the row's k-th, as r_src is known only after the
-    last tile)."""
+    rows, best first, equal scores in ascending ``lex_rank`` order, on the
+    score block or with ``r_tgt`` on its CSLS scores (2·cos - r_src) - r_tgt,
+    r_src being the _mean_topk of each row's CSLS_NEIGHBORHOOD best cosines.
+    ``score_tile(cols)`` gives the block's columns ``cols``, one tile of
+    _column_tiles(m) at a time.  Between tiles only each row's candidates
+    are kept: the columns that can still be among its k best, ties included
+    (for CSLS, those whose 2·cos - r_tgt lies within _CSLS_SLACK of the
+    row's k-th, as r_src is known only after the last tile)."""
     k = min(k, m)
     slack = 0.0 if r_tgt is None else _CSLS_SLACK
     empty = np.empty(0, dtype=np.intp)
@@ -296,19 +295,6 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
                       details=tuple(details))
 
 
-def _rank_of(scores: np.ndarray, gold_idx, candidate_mask: np.ndarray,
-             lex_rank: np.ndarray):
-    """1-based rank of the gold among masked candidates: strictly better
-    scores first, equal scores broken by ascending lexicographic order.
-    Row-wise for 2-D ``scores`` and ``candidate_mask`` with one gold index
-    per row.  The whole-block reference that _ranks reproduces tile by
-    tile."""
-    gold_idx = np.asarray(gold_idx)
-    gold_score = np.take_along_axis(scores, gold_idx[..., None], axis=-1)
-    ahead = _ahead(scores, lex_rank, gold_score, lex_rank[gold_idx][..., None])
-    return 1 + np.count_nonzero(candidate_mask & ahead, axis=-1)
-
-
 def _ahead(scores, lex, gold_score, gold_lex):
     """Whether each candidate ranks ahead of its gold: a better score, or an
     equal one and an earlier word."""
@@ -318,30 +304,26 @@ def _ahead(scores, lex, gold_score, gold_lex):
 def _ranks(score_tile, m: int, gold: np.ndarray, estimate: np.ndarray,
            slack: float, candidates, lex_rank: np.ndarray) -> np.ndarray:
     """The 1-based rank of each row's gold column among its candidate
-    columns, as _rank_of gives it on the whole score block of ``m`` columns.
-    ``score_tile(cols)`` gives the block's columns ``cols``, one tile of
-    _column_tiles(m) at a time, and ``candidates(rows, cols)`` the candidate
-    mask of a few of its rows (a gold's own column never counts, whatever
-    its mask says).  The counts of better and tied candidates add
-    over tiles, but a gold's own score is known only from its own tile:
-    before that, ``estimate`` (each gold's score to within ``slack``)
-    settles every column it can, and the few it cannot wait for the gold's
+    columns of a score block of ``m`` columns: strictly better scores first,
+    equal scores broken by ascending ``lex_rank``.  ``score_tile(cols)``
+    gives the block's columns ``cols``, one tile of _column_tiles(m) at a
+    time, and ``candidates(rows, cols)`` the candidate mask of a few of its
+    rows (a gold's own column never counts, whatever its mask says).
+    ``estimate`` gives each gold's score to within ``slack``: a column
+    above that window is ahead and one below it is not, and the few inside
+    it are kept and compared with the gold's own score after the last
     tile.  Every decision compares the block's own bits."""
     n = len(gold)
     gold_score = np.zeros(n)
-    known = np.zeros(n, dtype=bool)
-    gold_lex = lex_rank[gold]
+    lo, hi = estimate - slack, estimate + slack
     ahead = np.zeros(n, dtype=np.intp)
-    pending = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp))
+    # (row, score, lex_rank) of each column inside its gold's window
+    found = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp))]
     for cols in _column_tiles(m):
         scores = score_tile(cols)
         in_tile = (gold >= cols.start) & (gold < cols.stop)
         here = np.flatnonzero(in_tile)
         gold_score[here] = scores[here, gold[here] - cols.start]
-        known[here] = True
-        lo = np.where(known, gold_score, estimate - slack)
-        hi = np.where(known, gold_score, estimate + slack)
-        found = [pending]  # (row, score, lex_rank) of each unsettled column
         for rows in _row_blocks(n):
             block = scores[rows]
             mask = candidates(rows, cols)
@@ -353,12 +335,9 @@ def _ranks(score_tile, m: int, gold: np.ndarray, estimate: np.ndarray,
             if near.any():
                 r, c = np.nonzero(near)
                 found.append((r + rows.start, block[r, c], lex_rank[c + cols.start]))
-        rows, score, lex = map(np.concatenate, zip(*found))
-        settled = known[rows]
-        ahead += np.bincount(rows[settled & _ahead(score, lex, gold_score[rows],
-                                                   gold_lex[rows])], minlength=n)
-        pending = (rows[~settled], score[~settled], lex[~settled])
-    return 1 + ahead
+    rows, score, lex = map(np.concatenate, zip(*found))
+    better = _ahead(score, lex, gold_score[rows], lex_rank[gold[rows]])
+    return 1 + ahead + np.bincount(rows[better], minlength=n)
 
 
 def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],

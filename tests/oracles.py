@@ -86,6 +86,19 @@ def top_k_sorted(vectors, query, k, exclude=()):
     return rows[:k]
 
 
+def _rank_of(scores, gold_idx, candidate_mask, lex_rank):
+    """1-based rank of the gold among masked candidates: strictly better
+    scores first, equal scores broken by ascending lexicographic order.
+    Row-wise for 2-D ``scores`` and ``candidate_mask`` with one gold index
+    per row.  The whole-block reference that evaluation._ranks reproduces
+    tile by tile."""
+    gold_idx = np.asarray(gold_idx)
+    gold_score = np.take_along_axis(scores, gold_idx[..., None], axis=-1)
+    gold_lex = lex_rank[gold_idx][..., None]
+    ahead = (scores > gold_score) | ((scores == gold_score) & (lex_rank < gold_lex))
+    return 1 + np.count_nonzero(candidate_mask & ahead, axis=-1)
+
+
 def analogy_rank(scored_candidates, gold):
     """1-based rank of gold in a {word: score} map after a full
     (-score, word) sort."""
@@ -163,6 +176,26 @@ def lda_direction_inverse(x_masc, x_fem, ridge):
     d = np.linalg.inv(pooled + eps * np.eye(dim)) @ (mu_f - mu_m)
     d = d / np.linalg.norm(d)
     if float(mu_f @ d) < float(mu_m @ d):
+        d = -d
+    return d
+
+
+def lda_direction_direct(x_masc, x_fem, ridge):
+    """The ridge-LDA direction in the library's arithmetic, written out as
+    one fit: both classes' rows centred, the pooled covariance, a solve
+    with eps = ridge * trace / dim, normalization and orientation.  It
+    pins the library's bits, where lda_direction_inverse checks its
+    algebra."""
+    mu_m = x_masc.mean(axis=0)
+    mu_f = x_fem.mean(axis=0)
+    cm = x_masc - mu_m
+    cf = x_fem - mu_f
+    pooled = (cm.T @ cm + cf.T @ cf) / (len(x_masc) + len(x_fem) - 2)
+    dim = pooled.shape[0]
+    eps = ridge * float(np.trace(pooled)) / dim
+    d = np.linalg.solve(pooled + eps * np.eye(dim), mu_f - mu_m)
+    d = d / np.linalg.norm(d)
+    if float(x_fem.mean(axis=0) @ d) < float(x_masc.mean(axis=0) @ d):
         d = -d
     return d
 

@@ -42,7 +42,6 @@ from gendebias import (
     word_similarity_eval,
     word_translation_eval,
 )
-from gendebias.evaluation import _rank_of
 
 
 @contextmanager
@@ -195,7 +194,7 @@ class TestAcceptance:
                 mask[gold] = True
                 pool = {space.words[i]: float(scores[i])
                         for i in range(len(space)) if mask[i]}
-                assert _rank_of(scores, gold, mask, space.lex_rank()) == \
+                assert oracles._rank_of(scores, gold, mask, space.lex_rank()) == \
                     oracles.analogy_rank(pool, space.words[gold])
 
     def test_criterion_4_permutation_exactness_and_calibration(self):

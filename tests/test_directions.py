@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +16,20 @@ from gendebias import (
     GenderDirections,
     bilingual_directions,
     build_directions,
+    coverage_filter,
     grammatical_direction,
     lda_cross_validation,
+    lexicon_to_json_dict,
+    load_text_embeddings,
     orthogonalize,
+    planted_fixture,
     project,
+    save_text_embeddings,
     semantic_direction,
     unit_normalize,
 )
+from gendebias.cli import main
+from gendebias.directions import DEFAULT_RIDGE
 
 E = np.eye(10)
 
@@ -164,6 +173,17 @@ class TestGrammaticalDirection:
             want = oracles.lda_direction_inverse(xm, xf, ridge=1e-3)
             assert np.max(np.abs(d - want)) < 1e-9
 
+    @pytest.mark.parametrize("dim, n_nouns", [(50, 370), (300, 6500)])
+    def test_grammatical_direction_bit_identical_to_direct_fit(self, dim, n_nouns):
+        fx = planted_fixture(seed=0, dim=dim, n_nouns=n_nouns)
+        space, lex = fx.source, fx.lexicon
+        d = grammatical_direction(space, lex.grammatical_masculine,
+                                  lex.grammatical_feminine)
+        want = oracles.lda_direction_direct(
+            space.matrix[space.indices(lex.grammatical_masculine)],
+            space.matrix[space.indices(lex.grammatical_feminine)], DEFAULT_RIDGE)
+        assert d.tobytes() == want.tobytes()
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         space, masc, fem = class_space(rng, 60, 6, np.eye(6)[0], 0.4)
@@ -301,6 +321,25 @@ class TestLdaCrossValidation:
         assert small == ["small noun classes for LDA (4/4 words, dim 50)"] * warned
 
 
+def test_lda_fits_gather_one_class_or_fold_at_a_time():
+    # traced peaks in units of both noun classes' rows: a fit holds one
+    # class and its centred copy, a cross-validation one fold and its
+    # centred copy (both classes gathered and centred at once are 2 units);
+    # 64 components keep the index lists and dim x dim scatters small
+    # beside the rows
+    rng = np.random.default_rng(3)
+    space, masc, fem = class_space(rng, 4000, 64, np.eye(64)[0], 0.4)
+    nouns = space.matrix.nbytes
+    for fit, bound in ((grammatical_direction, 1.25), (lda_cross_validation, 0.5)):
+        tracemalloc.start()
+        try:
+            fit(space, masc, fem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * nouns, (fit.__name__, peak / nouns)
+
+
 class TestOrthogonalize:
     def test_plane_example(self):
         d_pca = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -348,11 +387,20 @@ class TestGenderDirections:
                              d_s=(E[0] + E[1]) / np.sqrt(2.0),
                              pca_explained_ratio=1.0, overlap=1.0)
 
-    def test_json_round_trip_is_exact(self, tmp_path):
-        bundle = self.make()
-        path = tmp_path / "dirs.json"
-        bundle.save_json(path)
-        back = GenderDirections.load_json(path)
+    def test_json_round_trip_is_exact(self, fixture_aligned, tmp_path):
+        # the CLI nests the bundle under "directions", beside its config
+        fx = fixture_aligned
+        vec, lexicon, out = (tmp_path / "src.vec", tmp_path / "lex.json",
+                             tmp_path / "dirs.json")
+        save_text_embeddings(fx.source, vec)
+        lexicon.write_text(json.dumps(lexicon_to_json_dict(fx.lexicon)),
+                           encoding="utf-8")
+        assert main(["directions", "--embeddings", str(vec), "--lexicon",
+                     str(lexicon), "--out", str(out)]) == 0
+        space = unit_normalize(load_text_embeddings(vec))
+        bundle = build_directions(space, coverage_filter(fx.lexicon, space)[0])
+        with out.open(encoding="utf-8") as fh:
+            back = GenderDirections.from_json_dict(json.load(fh)["directions"])
         assert np.array_equal(back.d_pca, bundle.d_pca)
         assert np.array_equal(back.d_g, bundle.d_g)
         assert np.array_equal(back.d_s, bundle.d_s)

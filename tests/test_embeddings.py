@@ -24,7 +24,6 @@ from gendebias import (
     unit_normalize,
 )
 from gendebias import embeddings
-from gendebias.embeddings import _top_rows
 
 
 # Every finite float64, with the edges hypothesis might not reach by itself.
@@ -223,24 +222,6 @@ class TestTopK:
         space = EmbeddingSpace(["hit", "null", "anti"], m)
         got = top_k(np.asarray([1.0, 0.0]), space, k=3)
         assert got[-1].word == "null"
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_top_rows_matches_per_row_lexsort(self, data):
-        # rows are partitioned a block at a time: cross block boundaries
-        block = data.draw(st.integers(1, 3))
-        n_rows = data.draw(st.integers(1, 8))
-        width = data.draw(st.integers(1, 12))
-        k = data.draw(st.integers(1, width + 3))
-        # quantized scores force ties; -inf is what a zero row scores
-        scores = data.draw(arrays(
-            np.float64, (n_rows, width),
-            elements=st.one_of(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0]),
-                               st.floats(-1.0, 1.0))))
-        lex_rank = np.array(data.draw(st.permutations(range(width))), dtype=np.intp)
-        want = np.array([np.lexsort((lex_rank, -row))[:k] for row in scores])
-        with mock.patch.object(embeddings, "_PARTITION_ROWS", block):
-            assert np.array_equal(_top_rows(scores, lex_rank, k), want)
 
 
 class TestTextFormat:

@@ -32,7 +32,7 @@ from gendebias import (
     write_translation_csv,
 )
 from gendebias import embeddings, evaluation
-from gendebias.evaluation import TranslationDetail, _rank_of
+from gendebias.evaluation import TranslationDetail
 
 
 def copied_pair(n_words=40, dim=20, seed=0):
@@ -453,12 +453,12 @@ class TestPairTranslation:
             gold_idx = int(rng.integers(n))
             mask[gold_idx] = True
             lex_rank = np.argsort(np.argsort(words))
-            got = _rank_of(scores, gold_idx, mask, lex_rank)
+            got = oracles._rank_of(scores, gold_idx, mask, lex_rank)
             pool = {words[i]: float(scores[i]) for i in range(n) if mask[i]}
             assert got == oracles.analogy_rank(pool, words[gold_idx])
             rows.append((scores, gold_idx, mask, got))
         scores, golds, masks, ranks = (np.array(c) for c in zip(*rows))
-        assert _rank_of(scores, golds, masks, lex_rank).tolist() == ranks.tolist()
+        assert oracles._rank_of(scores, golds, masks, lex_rank).tolist() == ranks.tolist()
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_batched_ranks_match_one_query_at_a_time(self, monkeypatch, restricted):
@@ -590,10 +590,11 @@ def test_short_score_tiles_sit_in_a_buffer_malloc_maps_on_its_own():
     assert np.array_equal(scores, unit @ space.matrix.T / space.row_norms())
 
 
-# Quantized scores force exact ties, -inf is what a zero row scores, and
-# scores 1e-13 or one ulp apart fall within the CSLS and gold slacks.
+# Quantized scores force exact ties (-0.0 ties 0.0), -inf is what a zero
+# row scores, and scores 1e-13 or one ulp apart fall within the CSLS and
+# gold slacks.
 TILE_SCORES = st.one_of(
-    st.sampled_from([-np.inf, -1.0, 0.0, 0.25, 0.5, np.nextafter(0.5, 1.0),
+    st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, np.nextafter(0.5, 1.0),
                      0.5 + 1e-13, 1.0]),
     st.floats(-1.0, 1.0))
 
@@ -704,7 +705,7 @@ class TestColumnTileMerges:
         with tiled(*shape):
             got = evaluation._ranks(tiles, m, gold, estimate, slack,
                                     lambda rows, cols: mask[rows, cols], lex_rank)
-        assert got.tolist() == _rank_of(scores, gold, mask, lex_rank).tolist()
+        assert got.tolist() == oracles._rank_of(scores, gold, mask, lex_rank).tolist()
 
 
 def test_retrieval_memory_does_not_grow_with_the_vocabulary(monkeypatch):
