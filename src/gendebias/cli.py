@@ -170,8 +170,7 @@ def _load_space(args, path):
         sidecar = path.with_name(path.name + _CACHE_SUFFIX)
         cached = _read_sidecar(sidecar, key)
     if cached is None:
-        parsed = _read_text_embeddings(path, args.max_words)
-        space, duplicates = parsed.space(unit=True), parsed.duplicates
+        space, duplicates = _read_text_embeddings(path, args.max_words, unit=True)
         if regular:
             _write_sidecar(path, before, sidecar, key, space, duplicates)
     else:
@@ -248,7 +247,8 @@ def _save_space(space: EmbeddingSpace, path: Path) -> None:
         _write_text(space, tmp, readback)
     before = path.stat()
     key = _cache_key(_sha256(path), None)
-    unit = space._derive(_unit(readback, _norms(readback), out=readback), normalized=True)
+    unit = space._derive(_unit(readback, _norms(readback), space.words, out=readback),
+                         normalized=True)
     _write_sidecar(path, before, path.with_name(path.name + _CACHE_SUFFIX), key, unit, 0)
 
 

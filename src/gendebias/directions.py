@@ -53,10 +53,9 @@ def _dedupe_pairs(pairs: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
 
 def _difference_rows(space: EmbeddingSpace,
                      pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-    rows = []
-    for m, f in pairs:
-        rows.append(space.vector(f) - space.vector(m))
-    return np.vstack(rows)
+    """One (feminine - masculine) row per pair."""
+    return (space.matrix[space.indices(f for _, f in pairs)]
+            - space.matrix[space.indices(m for m, _ in pairs)])
 
 
 def _pca_over_differences(diffs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -11,7 +11,7 @@ import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -217,8 +217,9 @@ def _norms(mat: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(mat, axis=1)``, bit for bit (each row is reduced on
     its own), a block of rows at a time; read-only."""
     norms = np.empty(len(mat))
-    for rows in _row_blocks(len(mat), max(1, _NORM_BLOCK // mat.shape[1])):
-        norms[rows] = np.linalg.norm(mat[rows], axis=1)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf
+        for rows in _row_blocks(len(mat), max(1, _NORM_BLOCK // mat.shape[1])):
+            norms[rows] = np.linalg.norm(mat[rows], axis=1)
     norms.setflags(write=False)
     return norms
 
@@ -293,42 +294,17 @@ def load_text_embeddings(path, max_words: int | None = None) -> EmbeddingSpace:
     the path, line and byte offset), or a body that ends before the
     header's count (a truncated file) while more words were wanted.
     """
-    parsed = _read_text_embeddings(path, max_words)
-    space = parsed.space()
-    _log_duplicates(path, parsed.duplicates)
+    space, duplicates = _read_text_embeddings(path, max_words)
+    _log_duplicates(path, duplicates)
     return space
 
 
-class _TextParse(NamedTuple):
-    """A parsed text file before it becomes a space: its words, the line of
-    each, their matrix (which no one else holds) and the number of
-    duplicate words skipped."""
-
-    path: Path
-    words: list[str]
-    linenos: list[int]
-    matrix: np.ndarray
-    duplicates: int
-
-    def space(self, unit: bool = False) -> EmbeddingSpace:
-        """The space holding the parsed matrix; with ``unit``, the space
-        unit_normalize would make of it, the matrix divided in place.  Call
-        it once.  Raises ValueError naming the path and line of the first
-        vector with a non-finite component."""
-        try:  # the space checks finiteness; only a failed check is located
-            return _owned_space(self.words, self.matrix, unit)
-        except ValueError:
-            finite = np.isfinite(self.matrix).all(axis=1)
-            if finite.all():
-                raise
-            row = int(np.argmin(finite))
-            raise ValueError(f"{self.path}:{self.linenos[row]}: non-finite "
-                             f"component for {self.words[row]!r}") from None
-
-
-def _read_text_embeddings(path, max_words: int | None) -> _TextParse:
-    """The parse of load_text_embeddings, every check but finiteness made
-    (_TextParse.space makes that one)."""
+def _read_text_embeddings(path, max_words: int | None,
+                          unit: bool = False) -> tuple[EmbeddingSpace, int]:
+    """The space load_text_embeddings reads and the number of duplicate
+    words it skipped.  With ``unit``, the space unit_normalize would make
+    of it, the parsed matrix divided in place; a row whose norm overflows
+    float64 then raises ValueError naming the path and line."""
     if max_words is not None and max_words < 1:
         raise ValueError(f"max_words must be positive, got {max_words}")
     path = Path(path)
@@ -397,7 +373,22 @@ def _read_text_embeddings(path, max_words: int | None) -> _TextParse:
     if len(words) < limit and rows_read < count:
         raise ValueError(f"{path}: truncated file: header declares {count} "
                          f"words, body has {rows_read}")
-    return _TextParse(path, words, linenos, matrix, duplicates)
+    # a row whose norm is not finite holds a non-finite component or (which
+    # only the unit space refuses) a norm that overflows float64
+    norms = _norms(matrix)
+    for row in np.flatnonzero(~np.isfinite(norms)).tolist():
+        if not np.isfinite(matrix[row]).all():
+            raise ValueError(f"{path}:{linenos[row]}: non-finite component "
+                             f"for {words[row]!r}")
+        if unit:
+            raise ValueError(f"{path}:{linenos[row]}: the norm of {words[row]!r} "
+                             "overflows float64")
+    if unit:
+        _unit(matrix, norms, words, out=matrix)
+    space = EmbeddingSpace._owning(words, matrix, normalized=unit)
+    if not unit:
+        space._row_norms = norms  # the row_norms() cache
+    return space, duplicates
 
 
 def _log_duplicates(path, duplicates: int) -> None:
@@ -689,39 +680,43 @@ def _write_text(space: EmbeddingSpace, path, readback: np.ndarray | None = None)
 
 def unit_normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     """Scale every vector to unit Euclidean norm; an all-zero vector stays
-    zero."""
-    return space._derive(_unit(space.matrix, space.row_norms()), normalized=True)
+    zero.  Raises ValueError naming a word whose norm overflows float64."""
+    return space._derive(_unit(space.matrix, space.row_norms(), space.words),
+                         normalized=True)
 
 
-def _unit(matrix: np.ndarray, norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``matrix`` divided by its row norms ``norms`` into ``out`` (or a new
-    array), an all-zero row left zero."""
+def _unit(matrix: np.ndarray, norms: np.ndarray, words: Sequence[str],
+          out: np.ndarray | None = None) -> np.ndarray:
+    """``matrix`` (finite) divided by its row norms ``norms`` into ``out``
+    (or a new array), an all-zero row left zero.  Raises ValueError naming
+    the word of ``words`` whose row's norm overflows float64, a row the
+    division would make zero."""
+    over = np.isinf(norms)
+    if over.any():
+        raise ValueError(f"the norm of {words[int(np.argmax(over))]!r} overflows float64")
     scale = np.where(norms == 0.0, 1.0, norms)
     return np.divide(matrix, scale[:, None], out=out)
 
 
-def _owned_space(words: Sequence[str], matrix: np.ndarray, unit: bool,
-                 language_tag: str = "") -> EmbeddingSpace:
-    """The space holding ``matrix``, which no one else holds; with ``unit``,
-    the space unit_normalize would make of it, the matrix divided in place."""
-    if unit:
-        # inf / inf: a non-finite row stays non-finite, and the space refuses it
-        with np.errstate(invalid="ignore"):
-            _unit(matrix, _norms(matrix), out=matrix)
-    return EmbeddingSpace._owning(words, matrix, normalized=unit,
-                                  language_tag=language_tag)
+class _ZeroVector(ValueError):
+    """cosine() of a zero vector, which an evaluation leaves out."""
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1]."""
+    """Cosine similarity of two vectors, clamped to [-1, 1].  Raises
+    ValueError for a zero vector or one whose norm is not finite (a
+    component is not, or the norm overflows float64)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    with np.errstate(over="ignore"):
+        na = np.linalg.norm(a)
+        nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero vector")
+        raise _ZeroVector("cosine undefined for zero vector")
+    if not (np.isfinite(na) and np.isfinite(nb)):
+        raise ValueError("cosine undefined: a vector's norm is not finite in float64")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .directions import GenderDirections
 from .embeddings import (BilingualSpace, EmbeddingSpace, _column_tiles,
                          _cosine_scores, _row_blocks, _select, _shortlist,
-                         _within, cosine)
+                         _within, _ZeroVector, cosine)
 from .lexicon import AnalogyQuery, BilingualDictionary, OccupationPair
 
 logger = logging.getLogger(__name__)
@@ -71,9 +71,9 @@ def word_similarity_eval(space: EmbeddingSpace,
     """Pearson correlation between model cosines and human scores over the
     covered rows of a similarity dataset (a zero vector leaves its row out).
     The arithmetic is scipy 1.17's ``pearsonr``, done in numpy, so r is
-    that version's float.  Raises ValueError when a row's human score, or a
-    covered row's model cosine, is not finite (naming the row), or when
-    either column is constant (r is undefined)."""
+    that version's float.  Raises ValueError when a row's human score is
+    not finite or a covered row's vector has a norm that overflows float64
+    (naming the row), or when either column is constant (r is undefined)."""
     if not dataset:
         raise ValueError("empty similarity dataset")
     model, human = [], []
@@ -84,11 +84,10 @@ def word_similarity_eval(space: EmbeddingSpace,
         if w1 in space and w2 in space:
             try:
                 cos = cosine(space.vector(w1), space.vector(w2))
-            except ValueError:  # a zero vector
+            except _ZeroVector:
                 continue
-            if not math.isfinite(cos):  # its products overflowed
-                raise ValueError(f"similarity row {row} ({w1!r}, {w2!r}): "
-                                 "non-finite model cosine")
+            except ValueError as e:  # a norm overflows
+                raise ValueError(f"similarity row {row} ({w1!r}, {w2!r}): {e}") from None
             model.append(cos)
             human.append(score)
     if len(model) < MIN_SIMILARITY_ROWS:
@@ -295,24 +294,20 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
                       details=tuple(details))
 
 
-def _ahead(scores, lex, gold_score, gold_lex):
-    """Whether each candidate ranks ahead of its gold: a better score, or an
-    equal one and an earlier word."""
-    return (scores > gold_score) | ((scores == gold_score) & (lex < gold_lex))
-
-
 def _ranks(score_tile, m: int, gold: np.ndarray, estimate: np.ndarray,
-           slack: float, candidates, lex_rank: np.ndarray) -> np.ndarray:
-    """The 1-based rank of each row's gold column among its candidate
-    columns of a score block of ``m`` columns: strictly better scores first,
-    equal scores broken by ascending ``lex_rank``.  ``score_tile(cols)``
-    gives the block's columns ``cols``, one tile of _column_tiles(m) at a
-    time, and ``candidates(rows, cols)`` the candidate mask of a few of its
-    rows (a gold's own column never counts, whatever its mask says).
-    ``estimate`` gives each gold's score to within ``slack``: a column
-    above that window is ahead and one below it is not, and the few inside
-    it are kept and compared with the gold's own score after the last
-    tile.  Every decision compares the block's own bits."""
+           slack: float, excluded: np.ndarray, lex_rank: np.ndarray) -> np.ndarray:
+    """The 1-based rank of each row's gold column among the columns of a
+    score block of ``m`` columns but the row's ``excluded`` ones (an (n, 3)
+    array, -1 for none): strictly better scores first, equal scores broken
+    by ascending ``lex_rank``.  ``score_tile(cols)`` gives the block's
+    columns ``cols``, one tile of _column_tiles(m) at a time, in an array
+    this overwrites: once the golds' scores are read, the excluded cells
+    become NaN, which compares false, so they are never ahead.
+    ``estimate`` gives each gold's score to within ``slack``: a column above
+    that window is ahead and one below it is not, and the few inside it are
+    kept and compared with the gold's own score after the last tile (a
+    gold's own cell, inside its window, ties itself and is not ahead).
+    Every decision compares the block's own bits."""
     n = len(gold)
     gold_score = np.zeros(n)
     lo, hi = estimate - slack, estimate + slack
@@ -321,49 +316,43 @@ def _ranks(score_tile, m: int, gold: np.ndarray, estimate: np.ndarray,
     found = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp))]
     for cols in _column_tiles(m):
         scores = score_tile(cols)
-        in_tile = (gold >= cols.start) & (gold < cols.stop)
-        here = np.flatnonzero(in_tile)
+        here = np.flatnonzero((gold >= cols.start) & (gold < cols.stop))
         gold_score[here] = scores[here, gold[here] - cols.start]
+        r, j = np.nonzero((excluded >= cols.start) & (excluded < cols.stop))
+        scores[r, excluded[r, j] - cols.start] = np.nan
         for rows in _row_blocks(n):
             block = scores[rows]
-            mask = candidates(rows, cols)
-            own = np.flatnonzero(in_tile[rows])
-            mask[own, gold[rows][own] - cols.start] = False  # never ahead of itself
             above = block > hi[rows, None]
-            ahead[rows] += np.count_nonzero(mask & above, axis=1)
-            near = mask & ~above & (block >= lo[rows, None])
+            ahead[rows] += np.count_nonzero(above, axis=1)
+            near = ~above & (block >= lo[rows, None])
             if near.any():
                 r, c = np.nonzero(near)
                 found.append((r + rows.start, block[r, c], lex_rank[c + cols.start]))
     rows, score, lex = map(np.concatenate, zip(*found))
-    better = _ahead(score, lex, gold_score[rows], lex_rank[gold[rows]])
+    gold_score, gold_lex = gold_score[rows], lex_rank[gold[rows]]
+    better = (score > gold_score) | ((score == gold_score) & (lex < gold_lex))
     return 1 + ahead + np.bincount(rows[better], minlength=n)
 
 
 def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
                           occupation_pairs: Sequence[OccupationPair] | None = None,
-                          restrict_to: Sequence[str] | None = None) -> EvalReport:
+                          ) -> EvalReport:
     """Gendered translation-by-analogy over a co-embedded bilingual space.
 
     Each query ranks source-language candidates by cosine to
-    v(english_target) - v(english_context) + v(source_context); the three
-    context words are excluded from the candidates (the gold never is).
+    v(english_target) - v(english_context) + v(source_context).  Every
+    source word is a candidate but the query's three context words (the
+    English two where the source vocabulary holds them); the gold always
+    is one, even when it is a context word.
     Reports mean reciprocal rank per gold gender and their absolute gap.
     With occupation_pairs given, adds the anchor symmetry deviation: the
     mean over English-annotated pairs of |cos(w_m, e) - cos(w_f, e)|.
     A zero gold vector ranks after every nonzero candidate.
-    restrict_to narrows the candidate pool for fast smoke tests.
     """
     if not queries:
         raise ValueError("no analogy queries given")
     src, tgt = bi.source, bi.target
     lex_rank = src.lex_rank()
-    base_mask = np.full(len(src), restrict_to is None)
-    for w in restrict_to or ():
-        if w in src:
-            base_mask[src.index(w)] = True
-    if not base_mask.any():
-        raise ValueError("restrict_to leaves no candidates")
     resolved = [q for q in queries
                 if q.english_context in tgt and q.english_target in tgt
                 and q.source_context in src and q.gold in src]
@@ -393,18 +382,8 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
         live = norms > 0.0
         estimate[live] = (np.einsum("ij,ij->i", queries[live], src.matrix[gold[live]])
                           / (np.linalg.norm(queries[live], axis=1) * norms[live]))
-
-        def candidates(block: slice, cols: slice) -> np.ndarray:
-            # the context words are no candidates (the gold, always one, is
-            # never ahead of itself)
-            words = excluded[block]
-            mask = np.repeat(base_mask[None, cols], len(words), axis=0)
-            r, j = np.nonzero((words >= cols.start) & (words < cols.stop))
-            mask[r, words[r, j] - cols.start] = False
-            return mask
-
         return _ranks(lambda cols: _cosine_scores(src, queries, cols), len(src),
-                      gold, estimate, slack, candidates, lex_rank)
+                      gold, estimate, slack, excluded, lex_rank)
 
     rr: dict[str, list[float]] = {"masculine": [], "feminine": []}
     ranks = itertools.chain.from_iterable(_map_chunks(ranks_of, len(resolved)))
@@ -433,8 +412,11 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
             try:
                 deviations.append(abs(cosine(src.vector(pair.masculine), e)
                                       - cosine(src.vector(pair.feminine), e)))
-            except ValueError:  # a zero vector
+            except _ZeroVector:
                 continue
+            except ValueError as err:  # a norm overflows
+                raise ValueError(f"occupation pair {pair.masculine!r}/"
+                                 f"{pair.feminine!r} ({pair.english!r}): {err}") from None
         if not deviations:
             raise ValueError("anchor symmetry deviation requested but no "
                              "English-annotated occupation pair is covered")

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, _unit
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +89,7 @@ def _unit_rows(space: EmbeddingSpace, words: Sequence[str]) -> np.ndarray:
     if np.any(norms == 0.0):
         bad = words[int(np.argmax(norms == 0.0))]
         raise ValueError(f"zero vector for {bad!r}")
-    return space.matrix[idx] / norms[:, None]
+    return _unit(space.matrix[idx], norms, words)
 
 
 def association_scores(words: Sequence[str], attrs_a: Sequence[str],

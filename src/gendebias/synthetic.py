@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import (_NORM_BLOCK, BilingualSpace, EmbeddingSpace,
-                         _owned_space, _row_blocks)
+from .embeddings import (_NORM_BLOCK, BilingualSpace, EmbeddingSpace, _norms,
+                         _row_blocks, _unit)
 from .lexicon import BilingualDictionary, GenderLexicon
 
 DEFAULT_DIM = 50
@@ -242,8 +242,12 @@ def planted_fixture(seed: int = 0, dim: int = DEFAULT_DIM,
         src_rows = src_rows @ rotation.T
     else:
         rotation = np.eye(dim)
-    source = _owned_space(src_words, src_rows, unit=True, language_tag="src")
-    english = _owned_space(en_words, en_rows, unit=True, language_tag="en")
+    source = EmbeddingSpace._owning(
+        src_words, _unit(src_rows, _norms(src_rows), src_words, out=src_rows),
+        normalized=True, language_tag="src")
+    english = EmbeddingSpace._owning(
+        en_words, _unit(en_rows, _norms(en_rows), en_words, out=en_rows),
+        normalized=True, language_tag="en")
     lexicon = GenderLexicon(
         definitional_pairs=definitional_pairs,
         grammatical_masculine=nouns_m,

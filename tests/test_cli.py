@@ -451,6 +451,24 @@ class TestEvaluationCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("b 0.5 inf", "non-finite component for 'b'"),
+        ("b 1e200 1e200", "the norm of 'b' overflows float64"),
+    ])
+    def test_unit_load_names_a_bad_row(self, tmp_path, capsys, row, message):
+        # a row the unit-normalizing parse cannot divide is named by path and
+        # line, with no numpy warning (the suite makes one an error)
+        path = tmp_path / "s.vec"
+        path.write_text(f"3 2\na 1 0\n{row}\nc 0 1\n", encoding="utf-8")
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("a\tc\t1\n", encoding="utf-8")
+        out = tmp_path / "sim.json"
+        code = main(["eval-similarity", "--embeddings", str(path),
+                     "--dataset", str(dataset), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.vec", "sim.tsv"]
+
     def test_json_results_refuse_nan_and_leave_no_file(self, tmp_path):
         with pytest.raises(ValueError, match="JSON compliant"):
             gendebias.cli._write_json(tmp_path / "r.json", {"pearson_r": float("nan")})
@@ -790,9 +808,9 @@ class TestSidecar:
         seen = []
         parse = gendebias.cli._read_text_embeddings
 
-        def counted(path, max_words):
+        def counted(path, *args, **kwargs):
             seen.append(Path(path).name)
-            return parse(path, max_words)
+            return parse(path, *args, **kwargs)
 
         monkeypatch.setattr(gendebias.cli, "_read_text_embeddings", counted)
         return seen
@@ -896,7 +914,7 @@ class TestSidecar:
                      "--embeddings-en", str(vecs[1]), "--dict", str(files["seed"]),
                      "--out", str(results / "t.json")]]
 
-        def refuse(path, max_words):
+        def refuse(path, *args, **kwargs):
             raise AssertionError(f"parsed {path}")
 
         with monkeypatch.context() as patch:
@@ -1065,8 +1083,8 @@ class TestSidecar:
                                                           capsys, monkeypatch):
         parse = gendebias.cli._read_text_embeddings
 
-        def parse_then_touch(path, max_words):
-            result = parse(path, max_words)
+        def parse_then_touch(path, *args, **kwargs):
+            result = parse(path, *args, **kwargs)
             st = os.stat(path)
             os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
             return result

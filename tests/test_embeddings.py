@@ -141,6 +141,13 @@ class TestNormalization:
         assert unit.normalized
         assert unit.matrix.tolist() == [[0.6, 0.8], [0.0, 0.0]]
 
+    def test_overflowing_norm_names_the_word(self):
+        # the norm of (1e200, 1e200) overflows float64: dividing by it would
+        # make a zero row, which ranks last
+        space = EmbeddingSpace(["a", "b", "c"], [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="the norm of 'b' overflows float64"):
+            unit_normalize(space)
+
     def test_normalized_space_accepts_only_unit_or_zero_rows(self):
         EmbeddingSpace(["a", "b"], [[1.0, 0.0], [0.0, 0.0]], normalized=True)
         with pytest.raises(ValueError, match="'b'"):
@@ -164,6 +171,12 @@ class TestCosine:
         v = np.asarray([1.0, 1e-200])
         assert cosine(v, v) <= 1.0
         assert cosine(v, -v) >= -1.0
+
+    @pytest.mark.parametrize("big", [[1e200, 1e200], [1.0, np.inf]])
+    def test_norm_that_is_not_finite_is_refused(self, big):
+        # once read 0.0 (a finite dot over an infinite norm) or NaN (inf / inf)
+        with pytest.raises(ValueError, match="norm is not finite"):
+            cosine(np.asarray(big), np.asarray([1.0, 0.0]))
 
     def test_identical_and_opposite(self):
         v = np.asarray([0.6, 0.8])
@@ -335,6 +348,15 @@ class TestTextFormat:
         path.write_text(f"3 2\na 1 0\nb 0.5 {token}\nc 0 1\n")
         with pytest.raises(ValueError, match=r"bad\.vec:3: non-finite .*'b'"):
             load_text_embeddings(path)
+
+    def test_overflowing_norm_is_kept_raw_and_refused_unit(self, tmp_path):
+        path = tmp_path / "big.vec"
+        path.write_text("3 2\na 1 0\nb 1e200 1e200\nc 0 1\n")
+        raw = load_text_embeddings(path)  # its row norms cached by the parse
+        assert raw.matrix.tolist() == [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0]]
+        assert raw.row_norms().tolist() == [1.0, np.inf, 1.0]
+        with pytest.raises(ValueError, match=r"big\.vec:3: the norm of 'b' overflows"):
+            embeddings._read_text_embeddings(path, None, unit=True)
 
     @pytest.mark.parametrize("body, message", [
         ("a 1 0\na 9 9\nb 0 x\n", r"bad\.vec:4: unparsable .*'b'"),

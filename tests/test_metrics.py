@@ -104,6 +104,14 @@ class TestAssociationScores:
         assert weat_assoc("w", ["a"], ["b"], scaled) == pytest.approx(
             weat_assoc("w", ["a"], ["b"], space), abs=1e-12)
 
+    def test_overflowing_norm_names_the_word(self):
+        # once scored 0: its row divided by an infinite norm
+        space = EmbeddingSpace(["w", "a", "b"], [[1e200, 1e200], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="the norm of 'w' overflows float64"):
+            weat_assoc("w", ["a"], ["b"], space)
+        with pytest.raises(ValueError, match="the norm of 'w' overflows float64"):
+            weat_assoc("a", ["w"], ["b"], space)
+
     def test_unknown_word_raises(self):
         space = small_space(4, 3, seed=0)
         with pytest.raises(KeyError):
