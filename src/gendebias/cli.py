@@ -59,8 +59,6 @@ from .mitigation import (METHODS, EnglishDebiasConfig, MitigationOutcome,
 
 logger = logging.getLogger(__name__)
 
-_BILINGUAL_METHODS = ("shift_en", "de_align", "hybrid_ori", "hybrid_en")
-
 # A parsed .vec is kept, unit-normalized, in <input>.gdcache.npz.  Bump
 # _CACHE_VERSION whenever the space _load_space returns for some file would
 # change, so that sidecars written before stop matching.  Version 1 held the

@@ -215,12 +215,28 @@ class EmbeddingSpace:
 
 def _norms(mat: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(mat, axis=1)``, bit for bit (each row is reduced on
-    its own), a block of rows at a time; read-only."""
+    its own), a block of rows at a time, except that an underflowing row
+    gets its true norm (_rescued); read-only."""
     norms = np.empty(len(mat))
     with np.errstate(over="ignore"):  # an overflowing norm is inf
         for rows in _row_blocks(len(mat), max(1, _NORM_BLOCK // mat.shape[1])):
-            norms[rows] = np.linalg.norm(mat[rows], axis=1)
+            norms[rows] = _rescued(np.linalg.norm(mat[rows], axis=1), mat[rows])
     norms.setflags(write=False)
+    return norms
+
+
+def _rescued(norms: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``norms``, the computed norms of the rows of ``mat``, with each
+    nonzero row whose squares all underflowed (a computed norm of 0) given
+    its true norm: its largest magnitude times the norm of the row over it,
+    as evaluation._centred_unit takes a norm."""
+    tiny = np.flatnonzero(norms == 0.0)
+    if tiny.size:
+        rows = mat[tiny]
+        largest = np.abs(rows).max(axis=1)
+        live = largest > 0.0
+        norms[tiny[live]] = largest[live] * np.linalg.norm(
+            rows[live] / largest[live, None], axis=1)
     return norms
 
 
@@ -413,24 +429,22 @@ def _log_duplicates(path, duplicates: int) -> None:
 # the space (a block holds whole rows, at least one).
 _FORMAT_BLOCK = 1 << 14
 
-# 10**(9 - e) is exact in float64 for |9 - e| <= 22, and a product of two
-# exact powers (10**22 and the rest) for |9 - e| <= 44; a carry adds one to
-# e.  Every other magnitude, subnormals included, is formatted by Python.
-_EXP_MIN, _EXP_MAX = -35, 54
+# 10**(9 - e) is exact in float64 for 0 <= 9 - e <= 22.  A component is
+# written by numpy only where one such power scales it; every other magnitude,
+# subnormals included, is formatted by Python.
+_EXP_MIN, _EXP_MAX = -13, 9
 _NEXP = _EXP_MAX - _EXP_MIN + 1
-_POW10 = np.array([float(10 ** p) for p in range(23)])
 
 # A scaled significand s = |x| * 10**(9 - e) is trusted when it lies in
 # [1e9, 9999999999] (no carry) and is not within 1e-5 of a rounding tie: its
-# float64 error is at most 1e10 * 2**-53 after one scaling and about 2.3e-6
-# after two, so rint(s) is then the correctly rounded significand, and no
-# exact tie ever needs dtoa's tie rule.
+# float64 error is at most 1e10 * 2**-53, so rint(s) is then the correctly
+# rounded significand, and no exact tie ever needs dtoa's tie rule.
 _S_MID, _S_HALF = 5499999999.5, 4499999999.5
 _TIE_BAND = 0.5 - 1e-5
 
 # _SCALE[floor(log10|x|) + 324] = 10**(9 - e) where a multiplication makes it
-# exact, else 0, which sends the component to the exact path.
-_SCALE = np.array([float(10 ** (9 - e)) if 0 <= 9 - e <= 22 else 0.0
+# exact, else 0, which sends the component to Python.
+_SCALE = np.array([float(10 ** (9 - e)) if _EXP_MIN <= e <= _EXP_MAX else 0.0
                    for e in range(-324, 309)])
 
 
@@ -502,23 +516,6 @@ def _slot_tables():
 (_LEAD, _MARK1, _MARK2), (_, _KEEP1, _KEEP2), (_, _SHIFT1, _SHIFT2), _WIDTH = _slot_tables()
 
 
-def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``a * 10**(9 - e)`` by one correctly rounded multiplication or
-    division by an exact power of ten, or for 22 < |9 - e| <= 44 by 10**22
-    and then by the remaining power; NaN where |9 - e| > 44."""
-    p = 9 - e
-    q = np.abs(p)
-    two = q > 22
-    first = np.where(two, _POW10[22], 1.0)
-    rest = _POW10[np.minimum(q - 22 * two, 22)]
-    up = p >= 0
-    s = np.empty(a.shape)
-    s[up] = a[up] * first[up] * rest[up]
-    s[~up] = a[~up] / first[~up] / rest[~up]
-    s[q > 44] = np.nan
-    return s
-
-
 def _format_rows(block: np.ndarray,
                  readback: np.ndarray | None = None) -> tuple[bytearray, np.ndarray]:
     """The bytes ``" c1 c2 ... c_dim\\n"`` of each row of ``block``, every
@@ -531,8 +528,7 @@ def _format_rows(block: np.ndarray,
     zero = a == 0.0
     a[zero] = 1.0   # spelled "1", then its digit is made "0"
     # e + 324 for e = floor(log10 a); where log10 rounds across a power of
-    # ten, s lands within 1e-4 of 1e9 (rint gives the digits of the rounded
-    # power) or of 1e10 (left to Python)
+    # ten, s lands just below 1e9 or at 1e10 and is left to Python
     ei = np.log10(a)
     ei += 324.0
     ei = ei.astype(np.intp)
@@ -545,22 +541,12 @@ def _format_rows(block: np.ndarray,
     s -= _S_MID
     np.abs(s, out=s)
     odd |= s > _S_HALF
-    odd = np.flatnonzero(odd)
-    fallback = odd[:0]
-    if odd.size:
-        # |x| >= 1e10 and |9 - e| > 22 scaled by exact powers of ten and
-        # carries resolved; ties, exponents misestimated near a power of ten
-        # and magnitudes beyond two exact powers are formatted by Python
-        e = ei[odd] - 324
-        so = _scaled(a[odd], e)
-        mo = np.rint(so)
-        exact = (so >= 1e9) & (so < 1e10) & (np.abs(so - mo) <= _TIE_BAND)
-        carry = mo == 1e10
-        mo[carry] = 1e9
-        e += carry
-        m[odd] = np.where(exact, mo, 1e9)
-        ei[odd] = np.where(exact, e, 0) + 324
-        fallback = odd[~exact]
+    # ties, carries past a power of ten, misestimated exponents and
+    # magnitudes no single exact power scales are formatted by Python (spelled
+    # "1" until their tokens replace them)
+    fallback = np.flatnonzero(odd)
+    m[fallback] = 1e9
+    ei[fallback] = 324
     sig = m.astype(np.intp)
     hi = sig // 1000000
     sig -= hi * 1000000
@@ -604,20 +590,14 @@ def _format_rows(block: np.ndarray,
     lengths = widths.reshape(rows, dim).sum(axis=1)
     lengths += 1
     if readback is not None:
-        # A token is m * 10**p with p = e - 9 and m < 2**53, so m is exact in
-        # float64, and so is 10**|p| for |p| <= 22: one IEEE multiplication
-        # or division then rounds m * 10**p correctly, which makes it
-        # float(token) (Clinger's fast path).  Rounding is symmetric, so the
-        # sign is copied from x, and a zero reads back as itself.  Tokens
-        # with |p| > 22 and those Python formatted (which hold p = -9 here)
-        # are read as the loader reads them.
-        p = ei - (324 + 9)
-        power = _POW10[np.minimum(np.abs(p), 22)]
-        value = np.copysign(np.where(p >= 0, m * power, m / power), x)
+        # A token is m / 10**(9 - e) with m < 2**53 and 0 <= 9 - e <= 22,
+        # both exact in float64: one IEEE division then rounds the token's
+        # value correctly, which makes it float(token) (Clinger's fast path).
+        # Rounding is symmetric, so the sign is copied from x, and a zero
+        # reads back as itself.  Tokens Python formatted are read as the
+        # loader reads them.
+        value = np.copysign(m / _SCALE[ei], x)
         value[zero] = x[zero]
-        far = np.flatnonzero(np.abs(p) > 22)
-        value[far] = [float(t) for t in
-                      ("%.10g " * far.size % tuple(x[far].tolist())).split()]
         if fallback.size:
             value[fallback] = [float(t) for t in texts]
         readback[...] = value.reshape(rows, dim)
@@ -630,10 +610,9 @@ def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     bytes are those of a per-component ``f"{x:.10g}"``.  Blocks of at most
     _FORMAT_BLOCK components (whole rows, at least one) are converted at
     once by numpy: the 10-digit significand is ``rint`` of the component
-    scaled by an exact power of ten, which is the correctly rounded one
-    unless it lies within 1e-5 of a rounding tie; magnitudes outside about
-    [1e-13, 1e32] are scaled by two exact powers (10**22 and the rest), and
-    ties and magnitudes outside about [1e-35, 1e54] are formatted by
+    scaled by one exact power of ten, which is the correctly rounded one
+    unless it lies within 1e-5 of a rounding tie.  Ties, carries past a
+    power of ten and magnitudes outside [1e-13, 1e10) are formatted by
     Python.  Raises ValueError naming the word,
     before writing anything, if a word holds a space, ``\\n`` or ``\\r`` (the
     loader would split it), if a word cannot be encoded as UTF-8 (it holds a
@@ -691,11 +670,17 @@ def _unit(matrix: np.ndarray, norms: np.ndarray, words: Sequence[str],
     (or a new array), an all-zero row left zero.  Raises ValueError naming
     the word of ``words`` whose row's norm overflows float64, a row the
     division would make zero."""
+    scale = np.where(_finite(norms, words) == 0.0, 1.0, norms)
+    return np.divide(matrix, scale[:, None], out=out)
+
+
+def _finite(norms: np.ndarray, words: Sequence[str]) -> np.ndarray:
+    """``norms``, the row norms of ``words``; raises ValueError naming the
+    word whose norm overflows float64, which has no unit row or cosine."""
     over = np.isinf(norms)
     if over.any():
         raise ValueError(f"the norm of {words[int(np.argmax(over))]!r} overflows float64")
-    scale = np.where(norms == 0.0, 1.0, norms)
-    return np.divide(matrix, scale[:, None], out=out)
+    return norms
 
 
 class _ZeroVector(ValueError):
@@ -711,23 +696,28 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     with np.errstate(over="ignore"):
-        na = np.linalg.norm(a)
-        nb = np.linalg.norm(b)
+        na, nb = _rescued(np.array([np.linalg.norm(a), np.linalg.norm(b)]),
+                          np.stack([a.ravel(), b.ravel()]))
     if na == 0.0 or nb == 0.0:
         raise _ZeroVector("cosine undefined for zero vector")
     if not (np.isfinite(na) and np.isfinite(nb)):
         raise ValueError("cosine undefined: a vector's norm is not finite in float64")
+    if na * nb < np.finfo(np.float64).tiny:  # the product underflows: use unit vectors
+        a, b, na, nb = a / na, b / nb, 1.0, 1.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray, cols: slice) -> np.ndarray:
     """Cosine of each query row against the rows ``cols`` of ``space``, from
-    the raw matrix and the cached row norms.  Zero rows of ``space`` score
-    -inf, so they come after every other row; a zero query raises
-    ValueError."""
-    qn = np.linalg.norm(queries, axis=1)
+    the raw matrix and the cached row norms, none of them inf (_finite).
+    Zero rows of ``space`` score -inf, so they come after every other row;
+    a zero query, or one whose norm overflows float64, raises ValueError."""
+    with np.errstate(over="ignore"):
+        qn = _rescued(np.linalg.norm(queries, axis=1), queries)
     if np.any(qn == 0.0):
         raise ValueError("cosine undefined for zero query vector")
+    if np.isinf(qn).any():
+        raise ValueError("the norm of a query vector overflows float64")
     norms = space.row_norms()[cols]
     live = norms > 0.0
     block = space.matrix[cols]
@@ -798,13 +788,16 @@ def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
 
     Ties are broken by ascending lexicographic word order, so results are
     deterministic, and zero vectors come last.  Fewer than ``k`` neighbors
-    come back only when the candidate set is smaller than ``k``.
+    come back only when the candidate set is smaller than ``k``.  Raises
+    ValueError for a zero query, and for a query or a row of ``space`` whose
+    norm overflows float64.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (space.dim,):
         raise ValueError(f"query shape {query.shape} does not match dim {space.dim}")
+    _finite(space.row_norms(), space.words)
     scores = _cosine_scores(space, query[None, :], slice(None))[0]
     mask = np.ones(len(space), dtype=bool)
     for w in exclude:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .directions import GenderDirections
 from .embeddings import (BilingualSpace, EmbeddingSpace, _column_tiles,
-                         _cosine_scores, _row_blocks, _select, _shortlist,
-                         _within, _ZeroVector, cosine)
+                         _cosine_scores, _finite, _norms, _row_blocks,
+                         _select, _shortlist, _within, _ZeroVector, cosine)
 from .lexicon import AnalogyQuery, BilingualDictionary, OccupationPair
 
 logger = logging.getLogger(__name__)
@@ -190,7 +190,7 @@ def _csls_adjustment(bi: BilingualSpace) -> np.ndarray:
     column tile at a time; 0 for a zero target vector."""
     r_tgt = np.zeros(len(bi.target))
     live = np.flatnonzero(bi.target.row_norms() > 0.0)
-    bi.source.row_norms()  # fill the cache before chunk threads read it
+    _finite(bi.source.row_norms(), bi.source.words)  # filled before chunk threads read it
 
     def adjust(chunk: slice) -> None:
         rows = live[chunk]
@@ -266,12 +266,13 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
     entries = [(w, set(golds)) for w, golds in dictionary.items() if w in bi.source]
     if not entries:
         raise ValueError("no dictionary entry has its source word in the space")
-    queries = bi.source.indices([w for w, _ in entries])
-    if np.any(bi.source.row_norms()[queries] == 0.0):
+    query_words = [w for w, _ in entries]
+    queries = bi.source.indices(query_words)
+    if np.any(_finite(bi.source.row_norms()[queries], query_words) == 0.0):
         raise ValueError("zero vector among query words")
+    _finite(bi.target.row_norms(), bi.target.words)  # filled before chunk threads read it
     r_tgt = _csls_adjustment(bi) if csls else None
     lex_rank = bi.target.lex_rank()
-    bi.target.row_norms()  # fill the cache before chunk threads read it
 
     def retrieve(chunk: slice) -> np.ndarray:
         rows = bi.source.matrix[queries[chunk]]
@@ -359,11 +360,27 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
     targets = (tgt.matrix[tgt.indices(q.english_target for q in resolved)]
                - tgt.matrix[tgt.indices(q.english_context for q in resolved)]
                + src.matrix[src.indices(q.source_context for q in resolved)])
-    live = np.linalg.norm(targets, axis=1) > 0.0  # a zero analogy vector has no cosine
+    live = _norms(targets) > 0.0  # a zero analogy vector has no cosine
     resolved = [q for q, ok in zip(resolved, live) if ok]
     targets = targets[live]
     skipped = len(queries) - len(resolved)
-    src.row_norms()  # fill the cache before chunk threads read it
+    # before the ranking refuses a source row whose norm overflows, so that
+    # an anchor pair holding it is named
+    deviations = None if occupation_pairs is None else []
+    for pair in occupation_pairs or ():
+        if (pair.english is None or pair.english not in tgt
+                or pair.masculine not in src or pair.feminine not in src):
+            continue
+        e = tgt.vector(pair.english)
+        try:
+            deviations.append(abs(cosine(src.vector(pair.masculine), e)
+                                  - cosine(src.vector(pair.feminine), e)))
+        except _ZeroVector:
+            continue
+        except ValueError as err:  # a norm overflows
+            raise ValueError(f"occupation pair {pair.masculine!r}/"
+                             f"{pair.feminine!r} ({pair.english!r}): {err}") from None
+    _finite(src.row_norms(), src.words)  # filled before chunk threads read it
 
     # two roundings of a cosine of dim-component vectors differ by at most
     # about 2·(dim + 4)·2**-53 (Higham's dot-product bound, the divisions
@@ -380,8 +397,10 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
         norms = src.row_norms()[gold]
         estimate = np.full(len(chunk), -np.inf)  # a zero gold scores -inf
         live = norms > 0.0
-        estimate[live] = (np.einsum("ij,ij->i", queries[live], src.matrix[gold[live]])
-                          / (np.linalg.norm(queries[live], axis=1) * norms[live]))
+        # as _cosine_scores divides: the unit query's dot product over the
+        # gold's norm, which no underflow of two tiny vectors makes 0 / 0
+        unit = queries[live] / _norms(queries[live])[:, None]
+        estimate[live] = np.einsum("ij,ij->i", unit, src.matrix[gold[live]]) / norms[live]
         return _ranks(lambda cols: _cosine_scores(src, queries, cols), len(src),
                       gold, estimate, slack, excluded, lex_rank)
 
@@ -402,21 +421,7 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
         metrics["m_mrr"] = float(np.mean(rr["masculine"]))
     if rr["feminine"] and rr["masculine"]:
         metrics["mrr_diff"] = abs(metrics["m_mrr"] - metrics["f_mrr"])
-    if occupation_pairs is not None:
-        deviations = []
-        for pair in occupation_pairs:
-            if (pair.english is None or pair.english not in bi.target
-                    or pair.masculine not in src or pair.feminine not in src):
-                continue
-            e = bi.target.vector(pair.english)
-            try:
-                deviations.append(abs(cosine(src.vector(pair.masculine), e)
-                                      - cosine(src.vector(pair.feminine), e)))
-            except _ZeroVector:
-                continue
-            except ValueError as err:  # a norm overflows
-                raise ValueError(f"occupation pair {pair.masculine!r}/"
-                                 f"{pair.feminine!r} ({pair.english!r}): {err}") from None
+    if deviations is not None:
         if not deviations:
             raise ValueError("anchor symmetry deviation requested but no "
                              "English-annotated occupation pair is covered")

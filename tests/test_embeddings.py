@@ -148,6 +148,17 @@ class TestNormalization:
         with pytest.raises(ValueError, match="the norm of 'b' overflows float64"):
             unit_normalize(space)
 
+    def test_underflowing_row_gets_its_true_norm(self):
+        # every square of (1e-170, 1e-170) underflows: the row once stayed as
+        # it was and passed as unit length (its computed norm was 0)
+        space = EmbeddingSpace(["a", "b"], [[1e-170, 1e-170], [3.0, 4.0]])
+        assert space.row_norms()[0] == pytest.approx(math.sqrt(2) * 1e-170, rel=1e-15)
+        unit = unit_normalize(space)
+        assert unit.matrix[0] == pytest.approx([math.sqrt(0.5)] * 2, abs=1e-15)
+        assert unit.matrix[1].tolist() == [0.6, 0.8]
+        with pytest.raises(ValueError, match=re.escape("declared normalized but ||'a'||")):
+            EmbeddingSpace(["a"], [[1e-170, 1e-170]], normalized=True)
+
     def test_normalized_space_accepts_only_unit_or_zero_rows(self):
         EmbeddingSpace(["a", "b"], [[1.0, 0.0], [0.0, 0.0]], normalized=True)
         with pytest.raises(ValueError, match="'b'"):
@@ -177,6 +188,16 @@ class TestCosine:
         # once read 0.0 (a finite dot over an infinite norm) or NaN (inf / inf)
         with pytest.raises(ValueError, match="norm is not finite"):
             cosine(np.asarray(big), np.asarray([1.0, 0.0]))
+
+    def test_underflowing_vector_is_not_zero(self):
+        # once "cosine undefined for zero vector"
+        ones = np.asarray([1.0, 1.0])
+        assert cosine(np.asarray([1e-170, 1e-170]), ones) == cosine(ones, ones)
+        assert cosine(np.asarray([1e-170, 1e-170]), ones) == pytest.approx(1.0)
+        # with two such vectors the dot product and the norms' product underflow
+        tiny = np.asarray([1e-170, 3e-170])
+        assert cosine(tiny, tiny) == pytest.approx(1.0)
+        assert cosine(tiny, -tiny[::-1]) == pytest.approx(-0.6)
 
     def test_identical_and_opposite(self):
         v = np.asarray([0.6, 0.8])
@@ -235,6 +256,24 @@ class TestTopK:
         space = EmbeddingSpace(["hit", "null", "anti"], m)
         got = top_k(np.asarray([1.0, 0.0]), space, k=3)
         assert got[-1].word == "null"
+
+    def test_overflowing_norm_is_refused(self):
+        # the row a once scored 0.0 and ranked last, though it points along
+        # the query
+        space = EmbeddingSpace(["a", "b", "c"], [[1e200, 1e200], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="the norm of 'a' overflows float64"):
+            top_k(np.asarray([1.0, 1.0]), space, k=3)
+        space = EmbeddingSpace(["b", "c"], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="the norm of a query vector overflows"):
+            top_k(np.asarray([1e200, 1e200]), space, k=2)
+
+    def test_underflowing_row_scores_its_true_cosine(self):
+        # the row a once scored -inf, as a zero row does
+        space = EmbeddingSpace(["a", "b", "c"], [[1e-170, 1e-170], [1.0, 0.0], [0.0, 1.0]])
+        got = top_k(np.asarray([1.0, 1.0]), space, k=3)
+        assert [n.word for n in got] == ["a", "b", "c"]
+        assert got[0].score == pytest.approx(1.0, abs=1e-15)
+        assert top_k(np.asarray([1e-170, 1e-170]), space, k=1)[0].word == "a"
 
 
 class TestTextFormat:
@@ -445,8 +484,8 @@ class TestTextFormat:
     @pytest.mark.parametrize("seed", range(4))
     def test_writer_matches_per_component_format_on_log_uniform_magnitudes(
             self, tmp_path, seed):
-        # 1e-35 .. 1e54 take two exact scalings in the numpy kernel; the rest
-        # of [1e-40, 1e60] is formatted by Python; both signs
+        # numpy writes 1e-13 .. 1e10 with one exact scaling; Python formats
+        # the rest of [1e-40, 1e60]; both signs
         rng = np.random.default_rng(seed)
         magnitudes = 10.0 ** rng.uniform(-40.0, 60.0, (300, 40))
         powers = 10.0 ** rng.integers(-40, 61, (300, 40)).astype(np.float64)

@@ -266,6 +266,21 @@ class TestWordTranslation:
             word_translation_eval(bi, dictionary)
 
     @pytest.mark.parametrize("csls", [False, True])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_overflowing_norm_is_refused(self, csls, side):
+        # a target row whose norm overflows once scored 0.0 against every
+        # query; a source row is a query, or a CSLS neighbor with csls
+        bi, dictionary = copied_pair(n_words=10, seed=14)
+        space = getattr(bi, side)
+        matrix = np.vstack([space.matrix, np.full(space.dim, 1e200)])
+        big = EmbeddingSpace(space.words + ("big",), matrix)
+        bi = dataclasses.replace(bi, **{side: big})
+        if side == "source":
+            dictionary.add("big", "t000")
+        with pytest.raises(ValueError, match="the norm of 'big' overflows float64"):
+            word_translation_eval(bi, dictionary, csls=csls)
+
+    @pytest.mark.parametrize("csls", [False, True])
     @pytest.mark.parametrize("n_words", [40, 6])
     def test_zero_rows_change_nothing(self, csls, n_words):
         # a zero target word is never retrieved before a nonzero one, and
@@ -336,6 +351,22 @@ class TestPairTranslation:
         rep = pair_translation_eval(BilingualSpace(src, bi.target), [query])
         # 20 nonzero distractors, then the equally scored zero "a_null" first
         assert rep.metrics["f_mrr"] == 1.0 / 22
+
+    def test_underflowing_analogy_vector_is_ranked(self):
+        # et - ec + ctx = (1e-170, 1e-170): every square underflows, and the
+        # query was once skipped as a zero analogy vector
+        src = EmbeddingSpace(["ctx", "gold", "other"],
+                             [[1e-170, 1e-170], [1.0, 1.0], [1.0, -1.0]])
+        tgt = EmbeddingSpace(["ec", "et"], [[1.0, 0.0], [1.0, 0.0]], language_tag="en")
+        query = AnalogyQuery("ec", "et", "ctx", "gold", "feminine")
+        rep = pair_translation_eval(BilingualSpace(src, tgt), [query])
+        assert rep.coverage == 1.0
+        assert rep.metrics["f_mrr"] == 1.0
+        # a tiny gold orthogonal to it ranks after "other": its score
+        # estimate must not read 0 / 0, which would put it first
+        src = src.with_matrix([[1e-170, 1e-170], [1e-170, -1e-170], [1.0, 1.0]])
+        rep = pair_translation_eval(BilingualSpace(src, tgt), [query])
+        assert rep.metrics["f_mrr"] == 0.5
 
     def test_source_context_is_excluded_from_candidates(self, rng):
         # plant the source context itself at the winning position; it must
