@@ -8,8 +8,8 @@ permutation, mitigates via anchor shifting / English hard-debiasing /
 orthogonal re-alignment, and evaluates embedding quality before and after.
 """
 
-from .embeddings import (BilingualSpace, EmbeddingSpace, Neighbor, cosine,
-                         load_text_embeddings, save_text_embeddings, top_k,
+from .embeddings import (BilingualSpace, EmbeddingSpace, cosine,
+                         load_text_embeddings, save_text_embeddings,
                          unit_normalize)
 from .lexicon import (AnalogyQuery, BilingualDictionary, CoverageReport,
                       GenderLexicon, LexiconError, OccupationPair,
@@ -30,10 +30,10 @@ from .mitigation import (EnglishDebiasConfig, MitigationOutcome, METHODS,
                          mitigate_hybrid, mitigate_shift_en,
                          mitigate_shift_ori, neutralize, procrustes_align,
                          procrustes_matrix, renormalize_outcome, shift_pair)
-from .evaluation import (EvalReport, TranslationDetail, export_projections,
-                         pair_translation_eval, word_similarity_eval,
-                         word_translation_eval, write_projections_csv,
-                         write_translation_csv)
+from .evaluation import (EvalReport, Neighbor, TranslationDetail,
+                         export_projections, pair_translation_eval, top_k,
+                         word_similarity_eval, word_translation_eval,
+                         write_projections_csv, write_translation_csv)
 from .synthetic import PlantedFixture, planted_fixture, random_space
 
 __version__ = "0.1.0"

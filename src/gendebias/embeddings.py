@@ -1,4 +1,4 @@
-"""Dense word-embedding spaces: text I/O, normalization, cosine queries, exact top-k."""
+"""Dense word-embedding spaces: text I/O, normalization, cosine."""
 
 from __future__ import annotations
 
@@ -20,29 +20,6 @@ logger = logging.getLogger(__name__)
 # Tolerance for the unit-norm check on spaces declared normalized.
 NORM_TOL = 1e-6
 
-# Rows per step where a row-wise operation on a score block needs scratch
-# memory (a partition copy, candidate masks): the scratch stays a few rows,
-# whatever the block's height.
-_PARTITION_ROWS = 16
-
-# Columns per score tile.  Retrieval scores a chunk of queries one tile of
-# the searched vocabulary at a time, so a 1,024-row chunk holds 32 MiB of
-# scores whatever the vocabulary's size.  Tiles start at fixed multiples of
-# _TILE from column 0, and a final one-column tile joins the one before it
-# (numpy computes a one-column product by another routine): on the running
-# BLAS a tile's scores then have the bits of the same columns of the whole
-# product (test_column_tiles_of_a_product_are_bit_identical).
-_TILE = 4096
-
-# Smallest buffer, in float64s, a block of cosine scores is computed in:
-# 32 MiB and a page.  glibc's malloc maps a block above 32 MiB on its own
-# and unmaps it when freed, however its dynamic mmap threshold has moved,
-# and only the pages a product writes are resident.  Smaller tiles (a
-# vocabulary's last, a short chunk's) would otherwise come from the heap
-# arena of the chunk thread that freed the last one, and how much of that
-# stays resident, so the process's peak RSS, would vary with thread timing.
-_SCORE_BUFFER = ((32 << 20) + 4096) // 8
-
 # Components per step of a row-norm pass: the squares stay in cache.
 _NORM_BLOCK = 1 << 16
 
@@ -51,15 +28,6 @@ _NORM_BLOCK = 1 << 16
 _LOADTXT_ERROR = re.compile(
     r"could not convert string (?P<token>.*) to float64 at row (?P<row>\d+), "
     r"column \d+\.", re.S)
-
-
-@dataclass(frozen=True)
-class Neighbor:
-    """One retrieval hit: word, cosine score, 1-based rank."""
-
-    word: str
-    score: float
-    rank: int
 
 
 class EmbeddingSpace:
@@ -134,7 +102,7 @@ class EmbeddingSpace:
             if np.any(off > NORM_TOL):
                 bad = int(np.argmax(off))
                 raise ValueError(
-                    f"space declared normalized but ||{words[bad]!r}|| = {norms[bad]:.8f}")
+                    f"space declared normalized but ||{words[bad]!r}|| = {norms[bad]:.9g}")
         mat.setflags(write=False)
         self._words = words
         self._index = index
@@ -238,6 +206,11 @@ def _rescued(norms: np.ndarray, mat: np.ndarray) -> np.ndarray:
         norms[tiny[live]] = largest[live] * np.linalg.norm(
             rows[live] / largest[live, None], axis=1)
     return norms
+
+
+def _row_blocks(n: int, rows: int):
+    """Slices of at most ``rows`` rows that cover ``range(n)`` in order."""
+    return (slice(start, start + rows) for start in range(0, n, rows))
 
 
 @dataclass(frozen=True)
@@ -674,12 +647,15 @@ def _unit(matrix: np.ndarray, norms: np.ndarray, words: Sequence[str],
     return np.divide(matrix, scale[:, None], out=out)
 
 
-def _finite(norms: np.ndarray, words: Sequence[str]) -> np.ndarray:
-    """``norms``, the row norms of ``words``; raises ValueError naming the
-    word whose norm overflows float64, which has no unit row or cosine."""
+def _finite(norms: np.ndarray, words: Sequence[str | None]) -> np.ndarray:
+    """``norms``, the row norms of ``words`` (None for an unnamed vector);
+    raises ValueError naming the word whose norm overflows float64, which
+    has no unit row or cosine."""
     over = np.isinf(norms)
     if over.any():
-        raise ValueError(f"the norm of {words[int(np.argmax(over))]!r} overflows float64")
+        word = words[int(np.argmax(over))]
+        name = "the vector" if word is None else repr(word)
+        raise ValueError(f"the norm of {name} overflows float64")
     return norms
 
 
@@ -706,110 +682,3 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         a, b, na, nb = a / na, b / nb, 1.0, 1.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
-
-def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray, cols: slice) -> np.ndarray:
-    """Cosine of each query row against the rows ``cols`` of ``space``, from
-    the raw matrix and the cached row norms, none of them inf (_finite).
-    Zero rows of ``space`` score -inf, so they come after every other row;
-    a zero query, or one whose norm overflows float64, raises ValueError."""
-    with np.errstate(over="ignore"):
-        qn = _rescued(np.linalg.norm(queries, axis=1), queries)
-    if np.any(qn == 0.0):
-        raise ValueError("cosine undefined for zero query vector")
-    if np.isinf(qn).any():
-        raise ValueError("the norm of a query vector overflows float64")
-    norms = space.row_norms()[cols]
-    live = norms > 0.0
-    block = space.matrix[cols]
-    size = len(queries) * len(block)
-    scores = np.empty(max(size, _SCORE_BUFFER))[:size].reshape(len(queries), len(block))
-    np.matmul(queries / qn[:, None], block.T, out=scores)
-    scores /= np.where(live, norms, 1.0)
-    scores[:, ~live] = -np.inf
-    return scores
-
-
-def _column_tiles(n: int) -> list[slice]:
-    """The column tiles of an ``n``-column score block: slices starting at
-    multiples of _TILE, a final one-column tile joined to the one before."""
-    starts = list(range(0, n, _TILE))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def _row_blocks(n: int, rows: int | None = None):
-    """Slices of at most ``rows`` (default _PARTITION_ROWS) rows that cover
-    ``range(n)`` in order."""
-    rows = rows or _PARTITION_ROWS
-    return (slice(start, start + rows) for start in range(0, n, rows))
-
-
-def _shortlist(keys, n: int, k: int, slack: float = 0.0):
-    """(rows, cols, keys) of the entries of an ``n``-row array that lie at
-    or above their row's k-th largest key less ``slack``, every tie
-    included (all of a row shorter than k).  ``keys(rows)`` gives the
-    array's rows a few at a time, so the scratch stays a few rows."""
-    found = []
-    for rows in _row_blocks(n):
-        block = keys(rows)
-        m = block.shape[1]
-        kth = np.partition(block, m - min(k, m), axis=1)[:, m - min(k, m)]
-        r, c = np.nonzero(block >= (kth - slack)[:, None])
-        found.append((r + rows.start, c, block[r, c]))
-    return tuple(map(np.concatenate, zip(*found)))
-
-
-def _within(rows: np.ndarray, keys: np.ndarray, n: int, k: int,
-            slack: float = 0.0) -> np.ndarray:
-    """Mask of the candidates (one row index and key each, every one of the
-    ``n`` rows holding some) whose key lies at or above their row's k-th
-    largest less ``slack`` (all of a row with fewer than k)."""
-    order = np.lexsort((-keys, rows))
-    ordered = rows[order]
-    first = np.searchsorted(ordered, np.arange(n))
-    last = np.minimum(first + k, np.searchsorted(ordered, np.arange(n), side="right"))
-    return keys >= keys[order[last - 1]][rows] - slack
-
-
-def _select(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray,
-            lex_rank: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The ``k`` best candidates' columns of each of ``n`` rows (every row
-    holding at least k), best first, equal scores in ascending ``lex_rank``
-    order: one lexsort on (lex_rank, -score, row) cut at k."""
-    order = np.lexsort((lex_rank[cols], -scores, rows))
-    first = np.searchsorted(rows[order], np.arange(n))
-    return cols[order][first[:, None] + np.arange(k)]
-
-
-def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
-          exclude: Iterable[str] = ()) -> list[Neighbor]:
-    """Exact brute-force k nearest neighbors by cosine.
-
-    Ties are broken by ascending lexicographic word order, so results are
-    deterministic, and zero vectors come last.  Fewer than ``k`` neighbors
-    come back only when the candidate set is smaller than ``k``.  Raises
-    ValueError for a zero query, and for a query or a row of ``space`` whose
-    norm overflows float64.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (space.dim,):
-        raise ValueError(f"query shape {query.shape} does not match dim {space.dim}")
-    _finite(space.row_norms(), space.words)
-    scores = _cosine_scores(space, query[None, :], slice(None))[0]
-    mask = np.ones(len(space), dtype=bool)
-    for w in exclude:
-        if w in space:
-            mask[space.index(w)] = False
-    candidates = np.nonzero(mask)[0]
-    if candidates.size == 0:
-        raise ValueError("empty candidate set after exclusion")
-    k = min(k, candidates.size)
-    block = scores[None, candidates]
-    rows, cols, top = _shortlist(lambda rows: block[rows], 1, k)
-    top = candidates[_select(rows, cols, top, space.lex_rank()[candidates], 1, k)[0]]
-    return [Neighbor(word=space.words[i], score=float(np.clip(scores[i], -1.0, 1.0)),
-                     rank=r + 1)
-            for r, i in enumerate(top)]

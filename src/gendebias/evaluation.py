@@ -1,5 +1,6 @@
-"""Quality and bias evaluation: word similarity, word translation,
-gendered translation-by-analogy, and projection exports."""
+"""Quality and bias evaluation: word similarity, exact cosine retrieval
+(top-k, word translation), gendered translation-by-analogy, and projection
+exports."""
 
 from __future__ import annotations
 
@@ -11,14 +12,13 @@ import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .directions import GenderDirections
-from .embeddings import (BilingualSpace, EmbeddingSpace, _column_tiles,
-                         _cosine_scores, _finite, _norms, _row_blocks,
-                         _select, _shortlist, _within, _ZeroVector, cosine)
+from .embeddings import (BilingualSpace, EmbeddingSpace, _finite, _norms,
+                         _row_blocks, _ZeroVector, cosine)
 from .lexicon import AnalogyQuery, BilingualDictionary, OccupationPair
 
 logger = logging.getLogger(__name__)
@@ -26,15 +26,37 @@ logger = logging.getLogger(__name__)
 MIN_SIMILARITY_ROWS = 5
 CSLS_NEIGHBORHOOD = 10
 # Query rows scored per matrix product, one column tile of the searched
-# vocabulary at a time (embeddings._TILE).  BLAS may round a product of
-# another height differently, so results hold their bits only while this
-# stays fixed.
+# vocabulary at a time (_TILE).  BLAS may round a product of another height
+# differently, so results hold their bits only while this stays fixed.
 _SCORE_CHUNK = 1024
 # A CSLS candidate is kept while 2·cos - r_tgt lies within this of its row's
 # k-th best.  Its exact score (2·cos - r_src) - r_tgt differs from that
 # value less r_src by a few 1e-16 of rounding, so no column of the true top
 # k is dropped.
 _CSLS_SLACK = 1e-12
+
+# Rows per step where a row-wise operation on a score block needs scratch
+# memory (a partition copy, candidate masks): the scratch stays a few rows,
+# whatever the block's height.
+_PARTITION_ROWS = 16
+
+# Columns per score tile.  Retrieval scores a chunk of queries one tile of
+# the searched vocabulary at a time, so a 1,024-row chunk holds 32 MiB of
+# scores whatever the vocabulary's size.  Tiles start at fixed multiples of
+# _TILE from column 0, and a final one-column tile joins the one before it
+# (numpy computes a one-column product by another routine): on the running
+# BLAS a tile's scores then have the bits of the same columns of the whole
+# product (test_column_tiles_of_a_product_are_bit_identical).
+_TILE = 4096
+
+# Smallest buffer, in float64s, a block of cosine scores is computed in:
+# 32 MiB and a page.  glibc's malloc maps a block above 32 MiB on its own
+# and unmaps it when freed, however its dynamic mmap threshold has moved,
+# and only the pages a product writes are resident.  Smaller tiles (a
+# vocabulary's last, a short chunk's) would otherwise come from the heap
+# arena of the chunk thread that freed the last one, and how much of that
+# stays resident, so the process's peak RSS, would vary with thread timing.
+_SCORE_BUFFER = ((32 << 20) + 4096) // 8
 
 
 @dataclass(frozen=True)
@@ -147,6 +169,73 @@ def _map_chunks(fn, n: int) -> list:
     return [future.result() for future in futures]
 
 
+def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray, cols: slice) -> np.ndarray:
+    """Cosine of each query row against the rows ``cols`` of ``space``, from
+    the raw matrix and the cached row norms, none of them inf (_finite).
+    Zero rows of ``space`` score -inf, so they come after every other row;
+    a zero query, or one whose norm overflows float64, raises ValueError."""
+    qn = _norms(queries)
+    if np.any(qn == 0.0):
+        raise ValueError("cosine undefined for zero query vector")
+    if np.isinf(qn).any():
+        raise ValueError("the norm of a query vector overflows float64")
+    norms = space.row_norms()[cols]
+    live = norms > 0.0
+    block = space.matrix[cols]
+    size = len(queries) * len(block)
+    scores = np.empty(max(size, _SCORE_BUFFER))[:size].reshape(len(queries), len(block))
+    np.matmul(queries / qn[:, None], block.T, out=scores)
+    scores /= np.where(live, norms, 1.0)
+    scores[:, ~live] = -np.inf
+    return scores
+
+
+def _column_tiles(n: int) -> list[slice]:
+    """The column tiles of an ``n``-column score block: slices starting at
+    multiples of _TILE, a final one-column tile joined to the one before."""
+    starts = list(range(0, n, _TILE))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _shortlist(keys, n: int, k: int, slack: float = 0.0):
+    """(rows, cols, keys) of the entries of an ``n``-row array that lie at
+    or above their row's k-th largest key less ``slack``, every tie
+    included (all of a row shorter than k).  ``keys(rows)`` gives the
+    array's rows _PARTITION_ROWS at a time, so the scratch stays a few rows."""
+    found = []
+    for rows in _row_blocks(n, _PARTITION_ROWS):
+        block = keys(rows)
+        m = block.shape[1]
+        kth = np.partition(block, m - min(k, m), axis=1)[:, m - min(k, m)]
+        r, c = np.nonzero(block >= (kth - slack)[:, None])
+        found.append((r + rows.start, c, block[r, c]))
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _within(rows: np.ndarray, keys: np.ndarray, n: int, k: int,
+            slack: float = 0.0) -> np.ndarray:
+    """Mask of the candidates (one row index and key each, every one of the
+    ``n`` rows holding some) whose key lies at or above their row's k-th
+    largest less ``slack`` (all of a row with fewer than k)."""
+    order = np.lexsort((-keys, rows))
+    ordered = rows[order]
+    first = np.searchsorted(ordered, np.arange(n))
+    last = np.minimum(first + k, np.searchsorted(ordered, np.arange(n), side="right"))
+    return keys >= keys[order[last - 1]][rows] - slack
+
+
+def _select(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray,
+            lex_rank: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The ``k`` best candidates' columns of each of ``n`` rows (every row
+    holding at least k), best first, equal scores in ascending ``lex_rank``
+    order: one lexsort on (lex_rank, -score, row) cut at k."""
+    order = np.lexsort((lex_rank[cols], -scores, rows))
+    first = np.searchsorted(rows[order], np.arange(n))
+    return cols[order][first[:, None] + np.arange(k)]
+
+
 def _top_values(scores: np.ndarray, k: int) -> np.ndarray:
     """The min(k, width) largest entries of each row, in no given order.
     Partitions ``scores`` in place."""
@@ -239,6 +328,44 @@ def _retrieve(score_tile, n: int, m: int, lex_rank: np.ndarray, k: int,
 
 
 @dataclass(frozen=True)
+class Neighbor:
+    """One retrieval hit: word, cosine score, 1-based rank."""
+
+    word: str
+    score: float
+    rank: int
+
+
+def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
+          exclude: Iterable[str] = ()) -> list[Neighbor]:
+    """Exact brute-force k nearest neighbors by cosine.
+
+    Ties are broken by ascending lexicographic word order, so results are
+    deterministic, and zero vectors come last.  Fewer than ``k`` neighbors
+    come back only when the candidate set is smaller than ``k``.  Raises
+    ValueError for a zero query, and for a query or a row of ``space`` whose
+    norm overflows float64.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (space.dim,):
+        raise ValueError(f"query shape {query.shape} does not match dim {space.dim}")
+    _finite(space.row_norms(), space.words)
+    scores = _cosine_scores(space, query[None, :], slice(None))
+    excluded = {space.index(w) for w in exclude if w in space}
+    if len(excluded) == len(space):
+        raise ValueError("empty candidate set after exclusion")
+    # dropping e columns from a ranking moves any other up by at most e
+    # places, so the k best of the rest are among the k + e best of all
+    best = _retrieve(lambda cols: scores[:, cols], 1, len(space), space.lex_rank(),
+                     k + len(excluded))[0]
+    top = [i for i in best.tolist() if i not in excluded][:k]
+    return [Neighbor(space.words[i], float(np.clip(scores[0, i], -1.0, 1.0)), rank)
+            for rank, i in enumerate(top, start=1)]
+
+
+@dataclass(frozen=True)
 class TranslationDetail:
     source: str
     gold: tuple[str, ...]
@@ -321,7 +448,7 @@ def _ranks(score_tile, m: int, gold: np.ndarray, estimate: np.ndarray,
         gold_score[here] = scores[here, gold[here] - cols.start]
         r, j = np.nonzero((excluded >= cols.start) & (excluded < cols.stop))
         scores[r, excluded[r, j] - cols.start] = np.nan
-        for rows in _row_blocks(n):
+        for rows in _row_blocks(n, _PARTITION_ROWS):
             block = scores[rows]
             above = block > hi[rows, None]
             ahead[rows] += np.count_nonzero(above, axis=1)
@@ -454,26 +581,23 @@ def write_projections_csv(rows: Sequence[tuple[str, str, float, float]], path,
                           meta: str | None = None) -> None:
     """Write projection rows with the header
     word,group,grammatical_proj,semantic_proj (optional # meta line first)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        if meta is not None:
-            fh.write(f"# {meta}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["word", "group", "grammatical_proj", "semantic_proj"])
-        for word, group, g_proj, s_proj in rows:
-            writer.writerow([word, group, repr(float(g_proj)), repr(float(s_proj))])
+    _write_csv(path, meta, ["word", "group", "grammatical_proj", "semantic_proj"],
+               ([word, group, repr(float(g_proj)), repr(float(s_proj))]
+                for word, group, g_proj, s_proj in rows))
 
 
 def write_translation_csv(details: Sequence[TranslationDetail], path,
                           meta: str | None = None) -> None:
     """Per-query translation detail: source, gold set, retrieved list, the
     1-based rank of the first gold hit (0 = miss)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    _write_csv(path, meta, ["source", "gold", "retrieved", "hit_rank"],
+               ([d.source, "|".join(d.gold), "|".join(d.retrieved), d.hit_rank]
+                for d in details))
+
+
+def _write_csv(path, meta: str | None, header: list[str], rows) -> None:
+    """``header`` and ``rows`` as UTF-8 CSV, after a ``# meta`` line if given."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         if meta is not None:
             fh.write(f"# {meta}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "gold", "retrieved", "hit_rank"])
-        for d in details:
-            writer.writerow([d.source, "|".join(d.gold), "|".join(d.retrieved),
-                             d.hit_rank])
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])

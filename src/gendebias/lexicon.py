@@ -284,23 +284,29 @@ class BilingualDictionary:
                 yield src, t
 
 
-def load_bilingual_dictionary(path) -> BilingualDictionary:
-    """Read one ``source<TAB>target`` entry per line; repeats accumulate."""
-    path = Path(path)
-    d = BilingualDictionary()
+def _tsv_rows(path: Path, layout: str):
+    """(line number, fields) of each non-blank line of the UTF-8 file
+    ``path``, split on tabs; a line without the field count of ``layout``
+    (as ``'source<TAB>target'``) raises ValueError naming the line."""
     with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'source<TAB>target', "
-                                 f"got {line!r}")
-            src, tgt = parts
-            if not src or not tgt:
-                raise ValueError(f"{path}:{lineno}: empty source or target")
-            d.add(src, tgt)
+            if len(parts) != layout.count("<TAB>") + 1:
+                raise ValueError(f"{path}:{lineno}: expected {layout!r}, got {line!r}")
+            yield lineno, parts
+
+
+def load_bilingual_dictionary(path) -> BilingualDictionary:
+    """Read one ``source<TAB>target`` entry per line; repeats accumulate."""
+    path = Path(path)
+    d = BilingualDictionary()
+    for lineno, (src, tgt) in _tsv_rows(path, "source<TAB>target"):
+        if not src or not tgt:
+            raise ValueError(f"{path}:{lineno}: empty source or target")
+        d.add(src, tgt)
     if len(d) == 0:
         raise ValueError(f"{path}: empty dictionary")
     return d
@@ -320,25 +326,16 @@ def load_similarity_dataset(path) -> list[tuple[str, str, float]]:
     a score must be a finite number."""
     path = Path(path)
     rows: list[tuple[str, str, float]] = []
-    with _open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 f"'word1<TAB>word2<TAB>score', got {line!r}")
-            w1, w2, raw = parts
-            if not w1 or not w2:
-                raise ValueError(f"{path}:{lineno}: empty word")
-            try:
-                score = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparsable score {raw!r}") from None
-            if not math.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: non-finite score {raw!r}")
-            rows.append((w1, w2, score))
+    for lineno, (w1, w2, raw) in _tsv_rows(path, "word1<TAB>word2<TAB>score"):
+        if not w1 or not w2:
+            raise ValueError(f"{path}:{lineno}: empty word")
+        try:
+            score = float(raw)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: unparsable score {raw!r}") from None
+        if not math.isfinite(score):
+            raise ValueError(f"{path}:{lineno}: non-finite score {raw!r}")
+        rows.append((w1, w2, score))
     if not rows:
         raise ValueError(f"{path}: empty similarity dataset")
     return rows

@@ -25,27 +25,27 @@ import numpy as np
 
 from .directions import (DEFAULT_RIDGE, GenderDirections, bilingual_directions,
                          semantic_direction)
-from .embeddings import BilingualSpace, EmbeddingSpace, unit_normalize
+from .embeddings import BilingualSpace, EmbeddingSpace, _finite, _norms, unit_normalize
 from .lexicon import BilingualDictionary, GenderLexicon, identity_dictionary
 
 logger = logging.getLogger(__name__)
 
 METHODS = ("shift_ori", "shift_en", "de_align", "hybrid_ori", "hybrid_en")
 
-# Residual norm below which a vector counts as parallel to the direction.
+# Residual norm, over the vector's own, at or below which it is parallel.
 _PARALLEL_TOL = 1e-12
 
 
 def _neutralize_rows(matrix: np.ndarray, rows, direction: np.ndarray,
                      words: Sequence[str | None]) -> None:
     """Remove the direction from matrix[rows] and renormalize those rows, in
-    place.  The module's one zero/parallel check: words[row] names the first
-    row that fails it (None for an unnamed vector)."""
+    place.  The module's one zero/parallel/overflow check: words[row] names
+    the first row that fails it (None for an unnamed vector)."""
     block = matrix[rows]
+    sizes = _finite(_norms(block), [words[row] for row in rows])
     residual = block - np.outer(block @ direction, direction)
-    norms = np.linalg.norm(residual, axis=1)
-    sizes = np.linalg.norm(block, axis=1)
-    bad = norms <= _PARALLEL_TOL * np.maximum(1.0, sizes)
+    norms = _norms(residual)
+    bad = norms <= _PARALLEL_TOL * sizes
     if bad.any():
         i = int(np.argmax(bad))
         word = words[rows[i]]

@@ -618,12 +618,19 @@ class TestDerivedCaches:
     @pytest.mark.parametrize("derive", ["constructor", "with_matrix"])
     def test_failed_normalized_declaration_keeps_its_message(self, derive):
         matrix = [[1.0, 0.0], [0.0, 2.0]]
-        message = re.escape("space declared normalized but ||'b'|| = 2.00000000")
+        message = re.escape("space declared normalized but ||'b'|| = 2") + "$"
         with pytest.raises(ValueError, match=message):
             if derive == "constructor":
                 EmbeddingSpace(["a", "b"], matrix, normalized=True)
             else:
                 EmbeddingSpace(["a", "b"], np.eye(2)).with_matrix(matrix, normalized=True)
+
+    def test_failed_normalized_declaration_spells_an_underflowing_norm(self):
+        # a nonzero norm must not read as 0, the norm of a zero row, which
+        # the check accepts
+        message = re.escape("space declared normalized but ||'a'|| = 1.41421356e-170")
+        with pytest.raises(ValueError, match=message + "$"):
+            EmbeddingSpace(["a", "b"], [[1e-170, 1e-170], [1.0, 0.0]], normalized=True)
 
     def test_lex_rank_orders_words(self):
         space = EmbeddingSpace(["c", "a", "b"], np.eye(3))

@@ -26,6 +26,7 @@ from gendebias import (
     OccupationPair,
     export_projections,
     pair_translation_eval,
+    top_k,
     word_similarity_eval,
     word_translation_eval,
     write_projections_csv,
@@ -511,7 +512,7 @@ class TestPairTranslation:
             rep = pair_translation_eval(bi, [q])
             one_by_one[q.gold_gender].append(rep.metrics[q.gold_gender[0] + "_mrr"])
         monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 3)
-        monkeypatch.setattr(embeddings, "_PARTITION_ROWS", 2)
+        monkeypatch.setattr(evaluation, "_PARTITION_ROWS", 2)
         rep = pair_translation_eval(bi, queries)
         assert rep.metrics["n_queries"] == 9.0
         assert rep.coverage == 9 / 11
@@ -588,15 +589,15 @@ def test_column_tiles_of_a_product_are_bit_identical():
     # is folded into the one before, 12,289 spans three tiles.
     rng = np.random.default_rng(6)
     queries = rng.standard_normal((evaluation._SCORE_CHUNK, 300))
-    assert embeddings._column_tiles(8193)[-1] == slice(embeddings._TILE, 8193)
+    assert evaluation._column_tiles(8193)[-1] == slice(evaluation._TILE, 8193)
     for width in (6593, 8193, 12289):
         space = EmbeddingSpace([f"w{i}" for i in range(width)],
                                rng.standard_normal((width, 300)))
-        whole = embeddings._cosine_scores(space, queries, slice(None))
-        tiles = embeddings._column_tiles(width)
+        whole = evaluation._cosine_scores(space, queries, slice(None))
+        tiles = evaluation._column_tiles(width)
         assert len(tiles) > 1
         for cols in tiles:
-            assert np.array_equal(embeddings._cosine_scores(space, queries, cols),
+            assert np.array_equal(evaluation._cosine_scores(space, queries, cols),
                                   whole[:, cols]), (width, cols)
 
 
@@ -609,7 +610,7 @@ def test_short_score_tiles_sit_in_a_buffer_malloc_maps_on_its_own():
     space = EmbeddingSpace([f"w{i}" for i in range(300)],
                            rng.standard_normal((300, 16)))
     queries = rng.standard_normal((5, 16))
-    scores = embeddings._cosine_scores(space, queries, slice(0, 300))
+    scores = evaluation._cosine_scores(space, queries, slice(0, 300))
     assert scores.shape == (5, 300) and scores.flags.c_contiguous
     assert scores.base.nbytes > 32 << 20
     unit = queries / np.linalg.norm(queries, axis=1)[:, None]
@@ -625,9 +626,9 @@ TILE_SCORES = st.one_of(
     st.floats(-1.0, 1.0))
 
 
-def tiled(tile, block=embeddings._PARTITION_ROWS):
+def tiled(tile, block=evaluation._PARTITION_ROWS):
     """Score tiles of ``tile`` columns and row blocks of ``block`` rows."""
-    return mock.patch.multiple(embeddings, _TILE=tile, _PARTITION_ROWS=block)
+    return mock.patch.multiple(evaluation, _TILE=tile, _PARTITION_ROWS=block)
 
 
 def score_block(data):
@@ -738,12 +739,55 @@ class TestColumnTileMerges:
         assert got.tolist() == oracles._rank_of(scores, gold, mask, lex_rank).tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_top_k_matches_a_lexsort_of_the_score_row(data):
+    # duplicate rows tie exactly and zero rows score -inf; tiles of a few
+    # columns put the excluded columns in other tiles than the ones that
+    # take their places
+    n = data.draw(st.integers(1, 12))
+    dim = data.draw(st.integers(1, 3))
+    components = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+    rows = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["new", "copy", "zero"]) if rows
+                         else st.just("new"))
+        if kind == "zero":
+            rows.append(np.zeros(dim))
+        elif kind == "copy":
+            rows.append(rows[data.draw(st.integers(0, len(rows) - 1))])
+        else:
+            rows.append(data.draw(arrays(np.float64, dim, elements=components)))
+    words = data.draw(st.permutations([f"w{i:02d}" for i in range(n)]))
+    space = EmbeddingSpace(words, np.array(rows))
+    query_word = data.draw(st.one_of(st.none(), st.sampled_from(words)))
+    query = (data.draw(arrays(np.float64, dim, elements=components))
+             if query_word is None else space.vector(query_word))
+    assume(np.any(query != 0.0))
+    exclude = data.draw(st.lists(st.sampled_from(words), max_size=n - 1, unique=True))
+    if query_word is not None and data.draw(st.booleans()):
+        exclude.append(query_word)
+    exclude += data.draw(st.lists(st.sampled_from(["absent", "w99"]), max_size=2))
+    gone = {space.index(w) for w in exclude if w in space}
+    assume(len(gone) < n)
+    k = data.draw(st.integers(1, n + 2))
+    with tiled(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))):
+        got = top_k(query, space, k, exclude=exclude)
+    row = evaluation._cosine_scores(space, query[None, :], slice(None))[0]
+    keep = np.array([i for i in range(n) if i not in gone])
+    want = keep[np.lexsort((space.lex_rank()[keep], -row[keep]))][:k]
+    assert [hit.word for hit in got] == [space.words[i] for i in want]
+    assert [hit.rank for hit in got] == list(range(1, len(want) + 1))
+    assert (np.array([hit.score for hit in got]).tobytes()
+            == np.clip(row[want], -1.0, 1.0).tobytes())
+
+
 def test_retrieval_memory_does_not_grow_with_the_vocabulary(monkeypatch):
     # Each chunk holds one column tile of scores and its rows' candidates,
     # whatever the vocabulary's size: with 128-row chunks, an untiled score
     # block would add 1 KiB per word.
     monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 128)
-    monkeypatch.setattr(embeddings, "_TILE", 256)
+    monkeypatch.setattr(evaluation, "_TILE", 256)
     threads(monkeypatch, 1)
     peaks = []
     for n_words in (2048, 8192):

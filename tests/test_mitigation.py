@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +36,7 @@ from gendebias import (
     shift_pair,
     unit_normalize,
 )
-from gendebias.mitigation import METHODS, _shift_outcome
+from gendebias.mitigation import METHODS, _neutralize_rows, _shift_outcome
 
 
 def occupation_query(lexicon):
@@ -99,6 +101,26 @@ class TestPrimitives:
         d[0] = 1.0
         with pytest.raises(ValueError, match="^zero vector$"):
             neutralize(np.zeros(4), d)
+
+    def test_neutralize_underflowing_vector_gets_its_true_norm(self):
+        # every square of 1e-170 underflows, yet the norm is 1.4e-170
+        d = np.eye(4)[2]
+        got = neutralize([1e-170, 1e-170, 0.0, 0.0], d)
+        assert got == pytest.approx([math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0], abs=1e-15)
+
+    def test_neutralize_overflowing_vector_rejected(self):
+        # its squares overflow float64, as everywhere a norm is needed; no
+        # numpy warning may come first
+        d = np.eye(4)[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the norm of the vector overflows float64$"):
+                neutralize([1e200, 1e200, 0.0, 0.0], d)
+
+    def test_overflowing_row_rejected_by_name(self):
+        matrix = np.array([[1.0, 0.0, 0.0], [1e200, 1e200, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="^the norm of 'b' overflows float64$"):
+            _neutralize_rows(matrix, np.array([2, 1]), np.eye(3)[2], ("a", "b", "c"))
 
     def test_shift_pair_symmetric_about_anchor(self, rng):
         d = rng.standard_normal(6)
