@@ -84,20 +84,20 @@ class EmbeddingSpace:
              mat: np.ndarray, normalized: bool, language_tag: str) -> None:
         """Hold ``mat``, a float64 array no one else holds, on checked words
         and their index; ``lex_rank`` is the one-item cache cell of their
-        tie-break ranks.  Checks the matrix; the norms of the ``normalized``
-        check become the row_norms() cache."""
+        tie-break ranks.  Checks the matrix and keeps its row norms and the
+        first word whose norm overflows float64, which row_norms() refuses."""
         if mat.ndim != 2 or mat.shape[0] != len(words):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match {len(words)} words")
         if mat.shape[1] < 1:
             raise ValueError("embedding dimension must be at least 1")
-        blocks = _row_blocks(len(mat), max(1, _NORM_BLOCK // mat.shape[1]))
-        if not all(np.isfinite(mat[rows]).all() for rows in blocks):
-            bad = int(np.argwhere(~np.isfinite(mat).all(axis=1))[0][0])
-            raise ValueError(f"non-finite components in vector for {words[bad]!r}")
-        norms = None
+        norms = _norms(mat)
+        # a norm is not finite where a component is not, or where it overflows
+        over = np.flatnonzero(~np.isfinite(norms))
+        bad = over[~np.isfinite(mat[over]).all(axis=1)]
+        if bad.size:
+            raise ValueError(f"non-finite components in vector for {words[bad[0]]!r}")
         if normalized:
-            norms = _norms(mat)
             off = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0))
             if np.any(off > NORM_TOL):
                 bad = int(np.argmax(off))
@@ -110,6 +110,7 @@ class EmbeddingSpace:
         self.normalized = bool(normalized)
         self.language_tag = language_tag
         self._row_norms = norms
+        self._overflow = words[over[0]] if over.size else None
         self._lex_rank = lex_rank
 
     def _derive(self, mat: np.ndarray, *, normalized: bool) -> "EmbeddingSpace":
@@ -162,11 +163,14 @@ class EmbeddingSpace:
         return self._derive(np.array(matrix, dtype=np.float64, copy=True),
                             normalized=normalized)
 
-    # -- cached per-space tables --------------------------------------------
+    # -- per-space tables ----------------------------------------------------
 
     def row_norms(self) -> np.ndarray:
-        if self._row_norms is None:
-            self._row_norms = _norms(self._matrix)
+        """Each row's Euclidean norm, taken when the space was built
+        (read-only).  Raises ValueError naming the first word whose norm
+        overflows float64: such a row has no unit row or cosine."""
+        if self._overflow is not None:
+            raise ValueError(f"the norm of {self._overflow!r} overflows float64")
         return self._row_norms
 
     def lex_rank(self) -> np.ndarray:
@@ -374,10 +378,7 @@ def _read_text_embeddings(path, max_words: int | None,
                              "overflows float64")
     if unit:
         _unit(matrix, norms, words, out=matrix)
-    space = EmbeddingSpace._owning(words, matrix, normalized=unit)
-    if not unit:
-        space._row_norms = norms  # the row_norms() cache
-    return space, duplicates
+    return EmbeddingSpace._owning(words, matrix, normalized=unit), duplicates
 
 
 def _log_duplicates(path, duplicates: int) -> None:
@@ -648,9 +649,9 @@ def _unit(matrix: np.ndarray, norms: np.ndarray, words: Sequence[str],
 
 
 def _finite(norms: np.ndarray, words: Sequence[str | None]) -> np.ndarray:
-    """``norms``, the row norms of ``words`` (None for an unnamed vector);
-    raises ValueError naming the word whose norm overflows float64, which
-    has no unit row or cosine."""
+    """``norms``, the row norms of ``words`` (None for an unnamed vector) in
+    an array that is not a space's; raises ValueError naming the word whose
+    norm overflows float64, as EmbeddingSpace.row_norms() does."""
     over = np.isinf(norms)
     if over.any():
         word = words[int(np.argmax(over))]

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .directions import GenderDirections
-from .embeddings import (BilingualSpace, EmbeddingSpace, _finite, _norms,
-                         _row_blocks, _ZeroVector, cosine)
+from .embeddings import (BilingualSpace, EmbeddingSpace, _norms, _row_blocks,
+                         _ZeroVector, cosine)
 from .lexicon import AnalogyQuery, BilingualDictionary, OccupationPair
 
 logger = logging.getLogger(__name__)
@@ -94,10 +94,11 @@ def word_similarity_eval(space: EmbeddingSpace,
     covered rows of a similarity dataset (a zero vector leaves its row out).
     The arithmetic is scipy 1.17's ``pearsonr``, done in numpy, so r is
     that version's float.  Raises ValueError when a row's human score is
-    not finite or a covered row's vector has a norm that overflows float64
-    (naming the row), or when either column is constant (r is undefined)."""
+    not finite (naming the row), when a norm of ``space`` overflows float64
+    (row_norms), or when either column is constant (r is undefined)."""
     if not dataset:
         raise ValueError("empty similarity dataset")
+    space.row_norms()  # a word whose norm overflows is named
     model, human = [], []
     for row, (w1, w2, score) in enumerate(dataset):
         if not math.isfinite(score):
@@ -108,8 +109,6 @@ def word_similarity_eval(space: EmbeddingSpace,
                 cos = cosine(space.vector(w1), space.vector(w2))
             except _ZeroVector:
                 continue
-            except ValueError as e:  # a norm overflows
-                raise ValueError(f"similarity row {row} ({w1!r}, {w2!r}): {e}") from None
             model.append(cos)
             human.append(score)
     if len(model) < MIN_SIMILARITY_ROWS:
@@ -171,10 +170,12 @@ def _map_chunks(fn, n: int) -> list:
 
 def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray, cols: slice) -> np.ndarray:
     """Cosine of each query row against the rows ``cols`` of ``space``, from
-    the raw matrix and the cached row norms, none of them inf (_finite).
-    Zero rows of ``space`` score -inf, so they come after every other row;
-    a zero query, or one whose norm overflows float64, raises ValueError."""
+    the raw matrix and its row_norms().  Zero rows of ``space`` score -inf,
+    so they come after every other row.  A query with a non-finite component,
+    then a zero query, then one whose norm overflows float64 raises ValueError."""
     qn = _norms(queries)
+    if not np.isfinite(queries[~np.isfinite(qn)]).all():
+        raise ValueError("non-finite components in a query vector")
     if np.any(qn == 0.0):
         raise ValueError("cosine undefined for zero query vector")
     if np.isinf(qn).any():
@@ -279,7 +280,6 @@ def _csls_adjustment(bi: BilingualSpace) -> np.ndarray:
     column tile at a time; 0 for a zero target vector."""
     r_tgt = np.zeros(len(bi.target))
     live = np.flatnonzero(bi.target.row_norms() > 0.0)
-    _finite(bi.source.row_norms(), bi.source.words)  # filled before chunk threads read it
 
     def adjust(chunk: slice) -> None:
         rows = live[chunk]
@@ -343,15 +343,14 @@ def top_k(query: np.ndarray, space: EmbeddingSpace, k: int,
     Ties are broken by ascending lexicographic word order, so results are
     deterministic, and zero vectors come last.  Fewer than ``k`` neighbors
     come back only when the candidate set is smaller than ``k``.  Raises
-    ValueError for a zero query, and for a query or a row of ``space`` whose
-    norm overflows float64.
+    ValueError for a query with a non-finite component, a zero query, and a
+    query or a row of ``space`` whose norm overflows float64.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (space.dim,):
         raise ValueError(f"query shape {query.shape} does not match dim {space.dim}")
-    _finite(space.row_norms(), space.words)
     scores = _cosine_scores(space, query[None, :], slice(None))
     excluded = {space.index(w) for w in exclude if w in space}
     if len(excluded) == len(space):
@@ -380,11 +379,11 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
 
     A query counts as a hit at k when ANY of its gold translations appears
     in the top k.  Queries whose source word is out of vocabulary are
-    skipped and reported through coverage; a zero query vector is an error,
-    and zero target vectors are retrieved after every other target.  With
-    csls=True scores are adjusted by the mean similarity of each target to
-    its 10 nearest mapped-source neighbors (and of each query to its 10
-    nearest targets).
+    skipped and reported through coverage; a zero query vector, or a norm
+    of either space that overflows float64, is an error, and zero target
+    vectors are retrieved after every other target.  With csls=True scores
+    are adjusted by the mean similarity of each target to its 10 nearest
+    mapped-source neighbors (and of each query to its 10 nearest targets).
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -393,11 +392,9 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
     entries = [(w, set(golds)) for w, golds in dictionary.items() if w in bi.source]
     if not entries:
         raise ValueError("no dictionary entry has its source word in the space")
-    query_words = [w for w, _ in entries]
-    queries = bi.source.indices(query_words)
-    if np.any(_finite(bi.source.row_norms()[queries], query_words) == 0.0):
+    queries = bi.source.indices(w for w, _ in entries)
+    if np.any(bi.source.row_norms()[queries] == 0.0):
         raise ValueError("zero vector among query words")
-    _finite(bi.target.row_norms(), bi.target.words)  # filled before chunk threads read it
     r_tgt = _csls_adjustment(bi) if csls else None
     lex_rank = bi.target.lex_rank()
 
@@ -481,6 +478,7 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
         raise ValueError("no analogy queries given")
     src, tgt = bi.source, bi.target
     lex_rank = src.lex_rank()
+    src.row_norms(), tgt.row_norms()  # a word whose norm overflows is named
     resolved = [q for q in queries
                 if q.english_context in tgt and q.english_target in tgt
                 and q.source_context in src and q.gold in src]
@@ -491,8 +489,6 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
     resolved = [q for q, ok in zip(resolved, live) if ok]
     targets = targets[live]
     skipped = len(queries) - len(resolved)
-    # before the ranking refuses a source row whose norm overflows, so that
-    # an anchor pair holding it is named
     deviations = None if occupation_pairs is None else []
     for pair in occupation_pairs or ():
         if (pair.english is None or pair.english not in tgt
@@ -504,10 +500,6 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
                                   - cosine(src.vector(pair.feminine), e)))
         except _ZeroVector:
             continue
-        except ValueError as err:  # a norm overflows
-            raise ValueError(f"occupation pair {pair.masculine!r}/"
-                             f"{pair.feminine!r} ({pair.english!r}): {err}") from None
-    _finite(src.row_norms(), src.words)  # filled before chunk threads read it
 
     # two roundings of a cosine of dim-component vectors differ by at most
     # about 2·(dim + 4)·2**-53 (Higham's dot-product bound, the divisions

@@ -41,10 +41,10 @@ def _neutralize_rows(matrix: np.ndarray, rows, direction: np.ndarray,
     """Remove the direction from matrix[rows] and renormalize those rows, in
     place.  The module's one zero/parallel/overflow check: words[row] names
     the first row that fails it (None for an unnamed vector)."""
-    block = matrix[rows]
+    block = matrix[rows]  # a copy: ``matrix`` is left as it was on an error
     sizes = _finite(_norms(block), [words[row] for row in rows])
-    residual = block - np.outer(block @ direction, direction)
-    norms = _norms(residual)
+    block -= np.outer(block @ direction, direction)
+    norms = _norms(block)
     bad = norms <= _PARALLEL_TOL * sizes
     if bad.any():
         i = int(np.argmax(bad))
@@ -54,7 +54,7 @@ def _neutralize_rows(matrix: np.ndarray, rows, direction: np.ndarray,
             raise ValueError(f"zero vector{label}")
         raise ValueError(f"vector{label} is parallel to the direction; "
                          f"neutralized residual is zero")
-    matrix[rows] = residual / norms[:, None]
+    matrix[rows] = np.divide(block, norms[:, None], out=block)
 
 
 def _shift_rows(matrix: np.ndarray, masc, fem, anchors: np.ndarray,
@@ -84,8 +84,11 @@ def _pair_rows(space: EmbeddingSpace, anchors: dict[tuple[str, str], float],
 
 
 def neutralize(vector: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Remove the direction component and renormalize to unit length."""
+    """Remove the direction component and renormalize to unit length.
+    Raises ValueError for a non-finite, zero, overflowing or parallel vector."""
     matrix = np.array(vector, dtype=np.float64, ndmin=2)
+    if not np.isfinite(matrix).all():
+        raise ValueError("non-finite components in the vector")
     _neutralize_rows(matrix, [0], np.asarray(direction, dtype=np.float64),
                      (None,))
     return matrix[0]

@@ -267,6 +267,14 @@ class TestTopK:
         with pytest.raises(ValueError, match="the norm of a query vector overflows"):
             top_k(np.asarray([1e200, 1e200]), space, k=2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_is_refused(self, value):
+        # a NaN query once ended in IndexError (every score NaN, so no
+        # candidate), an inf one was said to overflow
+        space = EmbeddingSpace(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="^non-finite components in a query vector$"):
+            top_k(np.asarray([value, 0.0]), space, k=2)
+
     def test_underflowing_row_scores_its_true_cosine(self):
         # the row a once scored -inf, as a zero row does
         space = EmbeddingSpace(["a", "b", "c"], [[1e-170, 1e-170], [1.0, 0.0], [0.0, 1.0]])
@@ -391,9 +399,10 @@ class TestTextFormat:
     def test_overflowing_norm_is_kept_raw_and_refused_unit(self, tmp_path):
         path = tmp_path / "big.vec"
         path.write_text("3 2\na 1 0\nb 1e200 1e200\nc 0 1\n")
-        raw = load_text_embeddings(path)  # its row norms cached by the parse
+        raw = load_text_embeddings(path)
         assert raw.matrix.tolist() == [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0]]
-        assert raw.row_norms().tolist() == [1.0, np.inf, 1.0]
+        with pytest.raises(ValueError, match="^the norm of 'b' overflows float64$"):
+            raw.row_norms()
         with pytest.raises(ValueError, match=r"big\.vec:3: the norm of 'b' overflows"):
             embeddings._read_text_embeddings(path, None, unit=True)
 
@@ -594,6 +603,44 @@ class TestDerivedCaches:
             want = np.linalg.norm(space.matrix, axis=1)
             assert space.row_norms().tobytes() == want.tobytes()
             assert not space.row_norms().flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_stored_row_norms_are_bit_identical_to_a_fresh_norm(self, data, dim):
+        # ordinary rows mixed with zero rows, rows whose squares underflow
+        # and rows whose norm overflows, through every way a space is built
+        scale = {"ordinary": 1.0, "zero": 0.0, "tiny": 1e-170, "huge": 1e200}
+        kinds = data.draw(st.lists(st.sampled_from(sorted(scale)), min_size=1,
+                                   max_size=8), label="kinds")
+        rows = data.draw(arrays(np.float64, (len(kinds), dim),
+                                elements=st.floats(-10.0, 10.0)), label="rows")
+        matrix = rows * np.array([scale[k] for k in kinds])[:, None]
+        words = [f"w{i}" for i in range(len(kinds))]
+        raw = EmbeddingSpace(words, matrix)
+        spaces = [raw, raw.with_matrix(matrix)]
+        with tempfile.TemporaryDirectory() as tmp:
+            save_text_embeddings(raw, Path(tmp) / "s.vec")
+            spaces.append(load_text_embeddings(Path(tmp) / "s.vec"))
+        if "huge" not in kinds:
+            spaces.append(unit_normalize(raw))
+        for space in spaces:
+            with np.errstate(over="ignore"):
+                fresh = np.linalg.norm(space.matrix, axis=1)
+            live = np.any(space.matrix != 0.0, axis=1)
+            over = np.isinf(fresh)
+            plain = ~over & ~(live & (fresh == 0.0))   # not over- or underflowing
+            stored = space._row_norms
+            assert stored[plain].tobytes() == fresh[plain].tobytes()
+            assert np.all(stored[live & ~over] > 0.0)  # an underflowing row's true norm
+            assert not stored.flags.writeable
+            if over.any():
+                word = space.words[int(np.argmax(over))]
+                with pytest.raises(ValueError, match=f"^the norm of '{word}' overflows"):
+                    space.row_norms()
+                with pytest.raises(ValueError, match=f"^the norm of '{word}' overflows"):
+                    unit_normalize(space)
+            else:
+                assert space.row_norms() is stored
 
     @pytest.mark.parametrize("derive", ["constructor", "with_matrix"])
     def test_callers_array_stays_writable_and_unshared(self, derive):

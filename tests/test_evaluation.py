@@ -140,15 +140,14 @@ class TestWordSimilarity:
 
     def test_non_finite_model_cosine_is_an_error(self):
         # the norm of a row of 1e200s overflows: its cosine with an ordinary
-        # row once read 0.0 (row 3), with another such row inf / inf (row 4)
+        # row once read 0.0 (row 3), with another such row inf / inf (row 4);
+        # the space is refused by its first such word
         matrix = np.random.default_rng(0).standard_normal((8, 4))
         matrix[4:6] = 1e200
         space = EmbeddingSpace([f"w{i}" for i in range(8)], matrix)
         dataset = [(f"w{i}", f"w{(i + 1) % 8}", float(i)) for i in range(8)]
         # no overflow warning either (the suite makes one an error)
-        with pytest.raises(ValueError, match=re.escape(
-                "similarity row 3 ('w3', 'w4'): cosine undefined: a vector's "
-                "norm is not finite in float64")):
+        with pytest.raises(ValueError, match="^the norm of 'w4' overflows float64$"):
             word_similarity_eval(space, dataset)
 
     def test_constant_column_is_an_error(self):
@@ -460,8 +459,7 @@ class TestPairTranslation:
         big = np.full((1, src.dim), 1e200)
         src = EmbeddingSpace(words, np.vstack([src.matrix, big]))
         pairs = [OccupationPair("huge", "noise00", english="en_tgt")]
-        with pytest.raises(ValueError, match=re.escape(
-                "occupation pair 'huge'/'noise00' ('en_tgt'): cosine undefined")):
+        with pytest.raises(ValueError, match="^the norm of 'huge' overflows float64$"):
             pair_translation_eval(BilingualSpace(src, bi.target), [query],
                                   occupation_pairs=pairs)
 
@@ -579,6 +577,36 @@ def test_a_chunk_scores_the_same_on_a_worker_thread(monkeypatch):
 
     for rows, scores in evaluation._map_chunks(score, len(queries)):
         assert np.array_equal(scores, queries[rows] @ vocab.T)
+
+
+@pytest.mark.parametrize("csls", [False, True])
+def test_an_overflowing_target_row_is_named_on_a_worker_thread(monkeypatch, csls):
+    # plain translation meets the target's refusal in _cosine_scores, on a
+    # chunk thread; its error is the one a single thread raises
+    n = evaluation._SCORE_CHUNK + 100
+    rng = np.random.default_rng(9)
+    source = EmbeddingSpace([f"s{i}" for i in range(n)], rng.standard_normal((n, 4)))
+    target = EmbeddingSpace([f"t{i}" for i in range(50)] + ["big"],
+                            np.vstack([rng.standard_normal((50, 4)), np.full(4, 1e200)]))
+    bi = BilingualSpace(source, target)
+    dictionary = BilingualDictionary([(f"s{i}", f"t{i % 50}") for i in range(n)])
+    scorers = set()
+    cosine_scores = evaluation._cosine_scores
+
+    def scores(*args):
+        scorers.add(threading.current_thread())
+        return cosine_scores(*args)
+
+    monkeypatch.setattr(evaluation, "_cosine_scores", scores)
+    messages = []
+    for n_threads in (1, 2):
+        threads(monkeypatch, n_threads)
+        with pytest.raises(ValueError) as err:
+            word_translation_eval(bi, dictionary, csls=csls)
+        messages.append(str(err.value))
+    assert messages == ["the norm of 'big' overflows float64"] * 2
+    if not csls:   # CSLS refuses the target before any chunk is scored
+        assert scorers - {threading.current_thread()}
 
 
 def test_column_tiles_of_a_product_are_bit_identical():

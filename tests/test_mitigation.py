@@ -117,6 +117,12 @@ class TestPrimitives:
             with pytest.raises(ValueError, match="^the norm of the vector overflows float64$"):
                 neutralize([1e200, 1e200, 0.0, 0.0], d)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_neutralize_non_finite_vector_rejected(self, value):
+        # a NaN vector once came back as [nan, nan]
+        with pytest.raises(ValueError, match="^non-finite components in the vector$"):
+            neutralize([value, 0.0], [1.0, 0.0])
+
     def test_overflowing_row_rejected_by_name(self):
         matrix = np.array([[1.0, 0.0, 0.0], [1e200, 1e200, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="^the norm of 'b' overflows float64$"):
