@@ -643,9 +643,19 @@ def _unit(matrix: np.ndarray, norms: np.ndarray, words: Sequence[str],
     """``matrix`` (finite) divided by its row norms ``norms`` into ``out``
     (or a new array), an all-zero row left zero.  Raises ValueError naming
     the word of ``words`` whose row's norm overflows float64, a row the
-    division would make zero."""
+    division would make zero.  A subnormal norm holds too few bits to divide
+    by, so such a row is scaled by its largest magnitude first and divided
+    by the norm of what that leaves."""
     scale = np.where(_finite(norms, words) == 0.0, 1.0, norms)
-    return np.divide(matrix, scale[:, None], out=out)
+    small = np.flatnonzero((norms > 0.0) & (norms < np.finfo(np.float64).tiny))
+    if small.size:
+        rows = matrix[small]
+        rows = rows / np.abs(rows).max(axis=1)[:, None]
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+    unit = np.divide(matrix, scale[:, None], out=out)
+    if small.size:
+        unit[small] = rows
+    return unit
 
 
 def _finite(norms: np.ndarray, words: Sequence[str | None]) -> np.ndarray:

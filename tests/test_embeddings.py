@@ -159,6 +159,13 @@ class TestNormalization:
         with pytest.raises(ValueError, match=re.escape("declared normalized but ||'a'||")):
             EmbeddingSpace(["a"], [[1e-170, 1e-170]], normalized=True)
 
+    def test_subnormal_norm_still_gives_a_unit_row(self):
+        # the norm of (5e-322, 5e-322) is itself subnormal, a few bits wide:
+        # dividing by it once left a row of norm 1.0005, refused as unit
+        space = EmbeddingSpace(["a", "b"], [[5e-322, 5e-322], [1e-310, 0.0]])
+        unit = unit_normalize(space)
+        assert unit.matrix.tolist() == [[1 / math.sqrt(2)] * 2, [1.0, 0.0]]
+
     def test_normalized_space_accepts_only_unit_or_zero_rows(self):
         EmbeddingSpace(["a", "b"], [[1.0, 0.0], [0.0, 0.0]], normalized=True)
         with pytest.raises(ValueError, match="'b'"):
