@@ -78,6 +78,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -471,7 +478,7 @@ _FLAGS = {
     "method": dict(choices=METHODS, help="mitigation pipeline"),
     "n-perm": dict(type=int, default=10_000,
                    help="permutation count (default 10000)"),
-    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "seed": dict(type=_seed, default=0, help="RNG seed, >= 0 (default 0)"),
     "max-words": dict(type=int, default=None,
                       help="load only the first N words of each space"),
     "csls": dict(action="store_true",

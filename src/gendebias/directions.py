@@ -94,14 +94,20 @@ def semantic_direction(space: EmbeddingSpace,
     return _pca_over_differences(_difference_rows(space, usable))
 
 
+class _TooFewNouns(ValueError):
+    """A noun class too small to fit or to split into folds: CV is skipped."""
+
+
 def _check_lda_classes(n_masc: int, n_fem: int, dim: int, ridge: float) -> None:
-    """Input checks shared by every LDA fit: ridge sign, at least two nouns
+    """Input checks shared by every LDA fit: a finite ridge >= 0, two nouns
     per class, and a warning when a class is small for the dimension."""
+    if not np.isfinite(ridge):
+        raise ValueError(f"ridge must be finite, got {ridge}")
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     if n_masc < 2 or n_fem < 2:
-        raise ValueError(f"need at least 2 covered nouns per class, "
-                         f"have {n_masc} masculine / {n_fem} feminine")
+        raise _TooFewNouns(f"need at least 2 covered nouns per class, "
+                           f"have {n_masc} masculine / {n_fem} feminine")
     if min(n_masc, n_fem) < dim / 10:
         logger.warning("small noun classes for LDA (%d/%d words, dim %d)",
                        n_masc, n_fem, dim)
@@ -196,8 +202,8 @@ def lda_cross_validation(space: EmbeddingSpace,
     masc = [w for w in masculine if w in space]
     fem = [w for w in feminine if w in space]
     if len(masc) < folds or len(fem) < folds:
-        raise ValueError(f"need at least {folds} covered words per class, "
-                         f"have {len(masc)}/{len(fem)}")
+        raise _TooFewNouns(f"need at least {folds} covered words per class, "
+                           f"have {len(masc)}/{len(fem)}")
     rng = np.random.default_rng(seed)
     parts = []  # per class, the matrix row indices of each fold
     for words in (masc, fem):
@@ -222,7 +228,7 @@ def orthogonalize(d_pca: np.ndarray, d_g: np.ndarray) -> np.ndarray:
     d_pca = np.asarray(d_pca, dtype=np.float64)
     d_g = np.asarray(d_g, dtype=np.float64)
     for name, d in (("d_pca", d_pca), ("d_g", d_g)):
-        if abs(np.linalg.norm(d) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError(f"{name} must be unit-norm")
     overlap = float(np.dot(d_pca, d_g))
     if abs(overlap) >= 1.0 - 1e-9:
@@ -253,7 +259,7 @@ class GenderDirections:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-            if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(arr) - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError(f"{name} is not unit-norm")
         if self.d_pca.shape != self.d_g.shape or self.d_g.shape != self.d_s.shape:
             raise ValueError("direction dimensions disagree")
@@ -303,7 +309,7 @@ def _bundle(d_pca: np.ndarray, explained: float, space: EmbeddingSpace,
             accuracy = lda_cross_validation(space, lexicon.grammatical_masculine,
                                             lexicon.grammatical_feminine,
                                             folds=cv_folds, seed=seed, ridge=ridge)
-        except ValueError as e:
+        except _TooFewNouns as e:
             logger.info("skipping LDA cross-validation: %s", e)
     return GenderDirections(d_pca=d_pca, d_g=d_g, d_s=d_s,
                             pca_explained_ratio=explained,

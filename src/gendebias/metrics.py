@@ -15,7 +15,8 @@ positive when w sits closer to attribute set A.  On top of it:
 
 For paired queries the permutation protocol swaps the (masculine,
 feminine) labels within each pair; when 2^|pairs| <= 65536 every sign
-pattern is enumerated and the p-value is exact.
+pattern is enumerated and the p-value is exact.  Either protocol gives its
+null as the arrays (sum_x, sum_y), one entry per permutation.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def mweat_pair(word_m: str, word_f: str, attrs_a: Sequence[str],
     return value if signed else abs(value)
 
 
-def _aggregate(sum_x: float, sum_y: float) -> float:
+def _aggregate(sum_x, sum_y):  # floats, or arrays elementwise
     return abs(abs(sum_x) - abs(sum_y))
 
 
@@ -149,44 +150,32 @@ def mweat_aggregate(query: BiasQuery, space: EmbeddingSpace) -> float:
     return _aggregate(float(sx.sum()), float(sy.sum()))
 
 
-def _all_sign_patterns(n: int) -> np.ndarray:
-    codes = np.arange(1 << n, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
-
-
-def _pair_swap_null(s_x: np.ndarray, s_y: np.ndarray, n_perm: int,
-                    seed: int) -> tuple[np.ndarray, int, bool]:
-    """Null statistics under within-pair label swaps.
-
-    Returns (null values, reported permutation count, exhaustive flag).  In
-    exhaustive mode the identity pattern is one of the enumerated rows, so
-    the reported count is 2^n - 1 non-identity permutations.
-    """
+def _pair_swap_sums(s_x: np.ndarray, s_y: np.ndarray, n_perm: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_x, sum_y) of the null under within-pair label swaps: a swap of
+    pair i moves sum_x by y_i - x_i and sum_y by the opposite.  Exhaustive
+    mode drops code 0, the identity, after the product: a pattern matrix
+    without it gives other rows different bits."""
     n = len(s_x)
     exhaustive = (1 << n) <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        swaps = _all_sign_patterns(n)
-        n_reported = (1 << n) - 1
+        codes = np.arange(1 << n, dtype=np.uint32)
+        swaps = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
     else:
-        rng = np.random.default_rng(seed)
-        swaps = rng.random((n_perm, n)) < 0.5
-        n_reported = n_perm
-    sum_x = s_x.sum() + swaps @ (s_y - s_x)
-    sum_y = s_y.sum() + swaps @ (s_x - s_y)
-    return np.abs(np.abs(sum_x) - np.abs(sum_y)), n_reported, exhaustive
+        swaps = np.random.default_rng(seed).random((n_perm, n)) < 0.5
+    delta = (swaps @ (s_y - s_x))[1 if exhaustive else 0:]
+    return s_x.sum() + delta, s_y.sum() - delta
 
 
-def _partition_null(s_all: np.ndarray, size_x: int, n_perm: int,
-                    seed: int) -> np.ndarray:
-    """Null statistics under random equal-size repartitions of X union Y."""
+def _partition_sums(s_all: np.ndarray, size_x: int, n_perm: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_x, sum_y) of the null under random equal-size repartitions of
+    X union Y, each draw summed as its own 1-D slice."""
     rng = np.random.default_rng(seed)
-    total = s_all.sum()
-    null = np.empty(n_perm)
+    sum_x = np.empty(n_perm)
     for i in range(n_perm):
-        pick = rng.permutation(s_all.shape[0])[:size_x]
-        sum_x = s_all[pick].sum()
-        null[i] = _aggregate(float(sum_x), float(total - sum_x))
-    return null
+        sum_x[i] = s_all[rng.permutation(s_all.shape[0])[:size_x]].sum()
+    return sum_x, s_all.sum() - sum_x
 
 
 def _permutation(query: BiasQuery, space: EmbeddingSpace, n_perm: int,
@@ -195,11 +184,12 @@ def _permutation(query: BiasQuery, space: EmbeddingSpace, n_perm: int,
     """Shared permutation machinery.
 
     Returns (observed statistic, p-value, permutation count actually used,
-    and the x and y association scores).
-    p = (exceedances + 1) / (n_permutations + 1); in exhaustive pair-swap
-    mode this equals the exact enumeration value #{null >= observed} / 2^n.
-    Null values within TIE_REL_TOL of the observed statistic count as
-    exceedances, so structural ties survive float roundoff.
+    and the x and y association scores).  The null leaves out the identity,
+    and p = (#{null >= observed} + 1) / (len(null) + 1); in exhaustive
+    pair-swap mode this equals the exact enumeration value
+    #{null >= observed} / 2^n.  Null values within TIE_REL_TOL of the
+    observed statistic count as exceedances, so structural ties survive
+    float roundoff.
     """
     if n_perm < MIN_PERMUTATIONS:
         raise ValueError(f"n_perm must be >= {MIN_PERMUTATIONS}, got {n_perm}")
@@ -212,21 +202,16 @@ def _permutation(query: BiasQuery, space: EmbeddingSpace, n_perm: int,
     sx = association_scores(query.x_words, query.attrs_a, query.attrs_b, space)
     sy = association_scores(query.y_words, query.attrs_a, query.attrs_b, space)
     observed = _aggregate(float(sx.sum()), float(sy.sum()))
-    cutoff = observed - TIE_REL_TOL * (1.0 + observed)
     if protocol == "pair_swap":
-        null, n_used, exhaustive = _pair_swap_null(sx, sy, n_perm, seed)
-        if exhaustive:
-            exceed = int(np.sum(null >= cutoff)) - 1  # identity row excluded
-        else:
-            exceed = int(np.sum(null >= cutoff))
+        sum_x, sum_y = _pair_swap_sums(sx, sy, n_perm, seed)
     else:
         if query.paired:
             logger.info("running partition protocol on a paired query")
-        null = _partition_null(np.concatenate([sx, sy]), len(sx), n_perm, seed)
-        n_used = n_perm
-        exceed = int(np.sum(null >= cutoff))
-    p = (exceed + 1) / (n_used + 1)
-    return observed, float(p), n_used, sx, sy
+        sum_x, sum_y = _partition_sums(np.concatenate([sx, sy]), len(sx),
+                                       n_perm, seed)
+    null = _aggregate(sum_x, sum_y)
+    exceed = int(np.count_nonzero(null >= observed - TIE_REL_TOL * (1.0 + observed)))
+    return observed, (exceed + 1) / (len(null) + 1), len(null), sx, sy
 
 
 def permutation_test(query: BiasQuery, space: EmbeddingSpace,

@@ -75,6 +75,55 @@ def pair_swap_pvalue_exact(vectors, x_words, y_words, attrs_a, attrs_b):
     return count / (2 ** n)
 
 
+# The two null-sum references below are the library's earlier float paths,
+# kept verbatim so the current ones can be checked against them bit for bit.
+
+def pair_swap_sums_two_products(s_x, s_y, n_perm, seed, exhaustive_limit):
+    """(sum_x, sum_y) under within-pair swaps, one product per side.  When
+    2^n <= exhaustive_limit every pattern is enumerated, identity (code 0)
+    first; otherwise n_perm patterns are drawn from default_rng(seed)."""
+    n = len(s_x)
+    if (1 << n) <= exhaustive_limit:
+        codes = np.arange(1 << n, dtype=np.uint32)
+        swaps = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+    else:
+        swaps = np.random.default_rng(seed).random((n_perm, n)) < 0.5
+    return s_x.sum() + swaps @ (s_y - s_x), s_y.sum() + swaps @ (s_x - s_y)
+
+
+def partition_sums_per_draw(s_all, size_x, n_perm, seed):
+    """(sum_x, sum_y) of n_perm random equal-size repartitions of s_all,
+    each sum taken by one draw's own 1-D slice."""
+    rng = np.random.default_rng(seed)
+    total = s_all.sum()
+    sum_x, sum_y = [], []
+    for _ in range(n_perm):
+        pick = rng.permutation(s_all.shape[0])[:size_x]
+        part = s_all[pick].sum()
+        sum_x.append(float(part))
+        sum_y.append(float(total - part))
+    return np.array(sum_x), np.array(sum_y)
+
+
+def permutation_two_products(s_x, s_y, n_perm, seed, protocol, exhaustive_limit,
+                             tie_rel_tol):
+    """(observed, p, permutation count) as the library counted them before:
+    exhaustive pair swaps count the identity row and subtract it again."""
+    observed = abs(abs(float(s_x.sum())) - abs(float(s_y.sum())))
+    cutoff = observed - tie_rel_tol * (1.0 + observed)
+    exhaustive = protocol == "pair_swap" and (1 << len(s_x)) <= exhaustive_limit
+    if protocol == "pair_swap":
+        sum_x, sum_y = pair_swap_sums_two_products(s_x, s_y, n_perm, seed,
+                                                   exhaustive_limit)
+    else:
+        sum_x, sum_y = partition_sums_per_draw(np.concatenate([s_x, s_y]),
+                                               len(s_x), n_perm, seed)
+    null = np.abs(np.abs(sum_x) - np.abs(sum_y))
+    exceed = int(np.sum(null >= cutoff)) - exhaustive
+    n_used = (1 << len(s_x)) - 1 if exhaustive else n_perm
+    return observed, float((exceed + 1) / (n_used + 1)), n_used
+
+
 def top_k_sorted(vectors, query, k, exclude=()):
     """Full sort by (-cosine, word); returns the first k (word, score)."""
     rows = []

@@ -141,6 +141,20 @@ class TestExitCodes:
         assert not (tmp_path / "a.json").exists()
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("command", ["directions", "audit"])
+    def test_negative_seed_is_a_usage_error(self, cli_files, tmp_path, capsys,
+                                            command):
+        # directions once dropped lda_cv_accuracy and exited 0; audit failed
+        # with numpy's message, which names no flag
+        out = tmp_path / "out.json"
+        code = main([command, "--embeddings", str(cli_files["src"]),
+                     "--lexicon", str(cli_files["lex"]), "--seed", "-3",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: argument --seed: expected an integer >= 0, got '-3'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
     def test_help_lists_only_own_flags(self, command, capsys):
         assert main([command, "--help"]) == 0
@@ -291,6 +305,18 @@ class TestDirections:
                      "--out", str(tmp_path / "d.json")])
         assert code == 1
         assert "--lexicon-en" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf"])
+    def test_non_finite_ridge_exits_one(self, cli_files, tmp_path, capsys, ridge):
+        # once wrote NaN directions, then failed on the JSON write
+        out = tmp_path / "d.json"
+        code = main(["directions", "--embeddings", str(cli_files["src"]),
+                     "--lexicon", str(cli_files["lex"]), "--ridge", ridge,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: ridge must be finite, got {ridge}")
+        assert not out.exists()
 
 
 class TestAudit:

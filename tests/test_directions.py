@@ -203,6 +203,17 @@ class TestGrammaticalDirection:
             grammatical_direction(space, ["w000", "w001"], ["w002", "w003"],
                                   ridge=-0.5)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, fixture_aligned, ridge):
+        # NaN once gave a NaN direction, inf a RuntimeWarning and NaN
+        lex = fixture_aligned.lexicon
+        message = f"ridge must be finite, got {ridge}"
+        with pytest.raises(ValueError, match=message):
+            grammatical_direction(fixture_aligned.source, lex.grammatical_masculine,
+                                  lex.grammatical_feminine, ridge=ridge)
+        with pytest.raises(ValueError, match=message):
+            build_directions(fixture_aligned.source, lex, ridge=ridge)
+
     def test_zero_ridge_needs_full_rank(self):
         # 2+2 points in 4 dimensions leave the pooled covariance rank 2
         space = small_space(4, 4, seed=2)
@@ -371,6 +382,12 @@ class TestOrthogonalize:
         with pytest.raises(ValueError):
             orthogonalize(2.0 * E[0], E[1])
 
+    def test_nan_inputs_rejected(self):
+        with pytest.raises(ValueError, match="d_pca must be unit-norm"):
+            orthogonalize(np.full(10, np.nan), E[1])
+        with pytest.raises(ValueError, match="d_g must be unit-norm"):
+            orthogonalize(E[0], np.full(10, np.nan))
+
 
 class TestGenderDirections:
     def make(self):
@@ -407,6 +424,13 @@ class TestGenderDirections:
         assert back.pca_explained_ratio == bundle.pca_explained_ratio
         assert back.overlap == bundle.overlap
         assert back.lda_cv_accuracy == bundle.lda_cv_accuracy
+
+    @pytest.mark.parametrize("name", ["d_pca", "d_g", "d_s"])
+    def test_nan_direction_rejected(self, name):
+        d = self.make().to_json_dict()
+        d[name] = [float("nan")] * 10
+        with pytest.raises(ValueError, match=f"{name} is not unit-norm"):
+            GenderDirections.from_json_dict(d)
 
     def test_optional_accuracy_omitted(self):
         bundle = GenderDirections(d_pca=(E[0] + E[1]) / np.sqrt(2.0), d_g=E[0],
@@ -462,6 +486,12 @@ class TestBuildDirections:
         bundle = build_directions(fixture_aligned.source, fixture_aligned.lexicon,
                                   cv_folds=None)
         assert bundle.lda_cv_accuracy is None
+
+    def test_negative_seed_is_an_error_not_a_skipped_cv(self, fixture_aligned):
+        # numpy's refusal of the seed once read as a reason to skip CV
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            build_directions(fixture_aligned.source, fixture_aligned.lexicon,
+                             seed=-3)
 
 
 class TestBilingualDirections:

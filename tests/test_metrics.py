@@ -24,6 +24,7 @@ from gendebias import (
     weat_assoc,
     weat_statistic,
 )
+from gendebias import metrics as gm
 
 
 def random_instance(seed, n_targets=8, n_attrs=3, dim=6):
@@ -278,6 +279,96 @@ class TestPermutationTest:
         space, query = leaning_space(10, seed=9, asymmetry=0.3)
         p = permutation_test(query, space, n_perm=1000, seed=0)
         assert p >= 1.0 / 1025
+
+
+def _scores(data, n, shape):
+    """Association-score vectors for n pairs: any signs, opposite-sign sums
+    (x leans A, y leans B), or mirrored pairs (s_y = -s_x, structural ties)."""
+    scores = arrays(np.float64, n, elements=st.floats(-2.0, 2.0))
+    s_x = data.draw(scores)
+    if shape == "mirrored":
+        return s_x, -s_x
+    s_y = data.draw(scores)
+    if shape == "opposite":
+        return np.abs(s_x), -np.abs(s_y)
+    return s_x, s_y
+
+
+def _plane_query(data, n_pairs, shape):
+    """A space whose pairs sit on the unit circle against attribute words at
+    e0 and e1: mirrored forms (x, y) and (y, x), so s_f = -s_m exactly; or
+    forms leaning to opposite attributes; or any angles."""
+    angles = st.lists(st.floats(0.05, np.pi / 2 - 0.05), min_size=n_pairs,
+                      max_size=n_pairs)
+    m = np.array(data.draw(angles))
+    f = np.array(data.draw(angles)) if shape != "mirrored" else m
+    if shape == "opposite":
+        m, f = m / 2, np.pi / 2 - f / 2
+    forms = np.column_stack([np.cos(np.concatenate([m, f])),
+                             np.sin(np.concatenate([m, f]))])
+    if shape == "mirrored":
+        forms[n_pairs:] = forms[n_pairs:, ::-1]
+    words = ["attr_a", "attr_b"] + [f"m{i}" for i in range(n_pairs)] \
+        + [f"f{i}" for i in range(n_pairs)]
+    space = EmbeddingSpace(words, np.vstack([np.eye(2), forms]))
+    return space, BiasQuery(words[2:2 + n_pairs], words[2 + n_pairs:],
+                            ["attr_a"], ["attr_b"])
+
+
+_SHAPES = st.sampled_from(["any", "opposite", "mirrored"])
+
+
+class TestNullSums:
+    """Each protocol's (sum_x, sum_y) against the earlier two-product
+    pair-swap formula and per-draw partition loop (tests/oracles.py).  n runs
+    to 24 pairs, so both exhaustive enumeration (2^n <= EXHAUSTIVE_LIMIT) and
+    sampling are drawn."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 24), shape=_SHAPES,
+           n_perm=st.integers(100, 300), seed=st.integers(0, 2**32 - 1))
+    def test_pair_swap_sums_bit_identical_to_two_products(self, data, n, shape,
+                                                          n_perm, seed):
+        s_x, s_y = _scores(data, n, shape)
+        sum_x, sum_y = gm._pair_swap_sums(s_x, s_y, n_perm, seed)
+        want_x, want_y = oracles.pair_swap_sums_two_products(
+            s_x, s_y, n_perm, seed, gm.EXHAUSTIVE_LIMIT)
+        if (1 << n) <= gm.EXHAUSTIVE_LIMIT:
+            want_x, want_y = want_x[1:], want_y[1:]  # code 0, the identity
+        assert sum_x.tobytes() == want_x.tobytes()
+        # the second product was the first negated, save for a zero's sign
+        assert np.array_equal(sum_y, want_y)
+        assert (gm._aggregate(sum_x, sum_y).tobytes()
+                == gm._aggregate(want_x, want_y).tobytes())
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 24), shape=_SHAPES,
+           n_perm=st.integers(100, 300), seed=st.integers(0, 2**32 - 1))
+    def test_partition_sums_bit_identical_to_per_draw_loop(self, data, n, shape,
+                                                           n_perm, seed):
+        s_x, s_y = _scores(data, n, shape)
+        s_all = np.concatenate([s_x, s_y])
+        got = gm._partition_sums(s_all, n, n_perm, seed)
+        want = oracles.partition_sums_per_draw(s_all, n, n_perm, seed)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_pairs=st.integers(1, 24), shape=_SHAPES,
+           protocol=st.sampled_from(["pair_swap", "partition"]),
+           n_perm=st.integers(100, 300), seed=st.integers(0, 2**32 - 1))
+    def test_p_value_bit_identical_to_two_product_count(self, data, n_pairs,
+                                                        shape, protocol,
+                                                        n_perm, seed):
+        space, query = _plane_query(data, n_pairs, shape)
+        observed, p, count, sx, sy = gm._permutation(query, space, n_perm, seed,
+                                                      protocol)
+        want = oracles.permutation_two_products(sx, sy, n_perm, seed, protocol,
+                                                gm.EXHAUSTIVE_LIMIT,
+                                                gm.TIE_REL_TOL)
+        assert ((repr(observed), repr(p), count)
+                == (repr(want[0]), repr(want[1]), want[2]))
+        assert type(p) is float and type(count) is int
 
 
 class TestBiasReport:
