@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import BilingualSpace, EmbeddingSpace
+from .embeddings import BilingualSpace, EmbeddingSpace, _valid_seed
 
 logger = logging.getLogger(__name__)
 
@@ -199,6 +199,7 @@ def lda_cross_validation(space: EmbeddingSpace,
     """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
+    _valid_seed(seed)
     masc = [w for w in masculine if w in space]
     fem = [w for w in feminine if w in space]
     if len(masc) < folds or len(fem) < folds:

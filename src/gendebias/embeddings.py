@@ -5,6 +5,8 @@ from __future__ import annotations
 import codecs
 import itertools
 import logging
+import math
+import numbers
 import os
 import re
 import stat
@@ -22,6 +24,11 @@ NORM_TOL = 1e-6
 
 # Components per step of a row-norm pass: the squares stay in cache.
 _NORM_BLOCK = 1 << 16
+
+# A row without a component this large (the smallest magnitude whose square
+# is a normal float64) is scaled by its largest magnitude before its norm is
+# taken or it is divided by one: its squares lose bits to underflow.
+_TINY = 2.0 ** -511
 
 # numpy's message for a field np.loadtxt cannot convert; ``row`` counts the
 # lines fed to it from 0.
@@ -198,18 +205,25 @@ def _norms(mat: np.ndarray) -> np.ndarray:
 
 
 def _rescued(norms: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``norms``, the computed norms of the rows of ``mat``, with each
-    nonzero row whose squares all underflowed (a computed norm of 0) given
-    its true norm: its largest magnitude times the norm of the row over it,
-    as evaluation._centred_unit takes a norm."""
-    tiny = np.flatnonzero(norms == 0.0)
-    if tiny.size:
-        rows = mat[tiny]
-        largest = np.abs(rows).max(axis=1)
-        live = largest > 0.0
-        norms[tiny[live]] = largest[live] * np.linalg.norm(
-            rows[live] / largest[live, None], axis=1)
+    """``norms``, the computed norms of the rows of ``mat``, with each row of
+    _tiny_rows given its true norm: its largest magnitude times the norm of
+    the row over it, as evaluation._centred_unit takes a norm."""
+    rows, largest = _tiny_rows(norms, mat)
+    if rows.size:
+        norms[rows] = largest * np.linalg.norm(mat[rows] / largest[:, None], axis=1)
     return norms
+
+
+def _tiny_rows(norms: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices and largest magnitudes of the nonzero rows of ``mat``
+    without a component of at least _TINY, sought only among the rows whose
+    ``norms`` (computed or true) lie below 2·_TINY·√dim, as all theirs do."""
+    rows = np.flatnonzero(norms < 2.0 * _TINY * math.sqrt(mat.shape[1]))
+    if not rows.size:  # the common case, kept cheap for cosine()
+        return rows, np.empty(0)
+    largest = np.abs(mat[rows]).max(axis=1)
+    tiny = (largest > 0.0) & (largest < _TINY)
+    return rows[tiny], largest[tiny]
 
 
 def _row_blocks(n: int, rows: int):
@@ -643,14 +657,12 @@ def _unit(matrix: np.ndarray, norms: np.ndarray, words: Sequence[str],
     """``matrix`` (finite) divided by its row norms ``norms`` into ``out``
     (or a new array), an all-zero row left zero.  Raises ValueError naming
     the word of ``words`` whose row's norm overflows float64, a row the
-    division would make zero.  A subnormal norm holds too few bits to divide
-    by, so such a row is scaled by its largest magnitude first and divided
-    by the norm of what that leaves."""
+    division would make zero.  A row of _tiny_rows is scaled by its largest
+    magnitude first and divided by the norm of what that leaves."""
     scale = np.where(_finite(norms, words) == 0.0, 1.0, norms)
-    small = np.flatnonzero((norms > 0.0) & (norms < np.finfo(np.float64).tiny))
+    small, largest = _tiny_rows(norms, matrix)
     if small.size:
-        rows = matrix[small]
-        rows = rows / np.abs(rows).max(axis=1)[:, None]
+        rows = matrix[small] / largest[:, None]
         rows /= np.linalg.norm(rows, axis=1)[:, None]
     unit = np.divide(matrix, scale[:, None], out=out)
     if small.size:
@@ -670,6 +682,13 @@ def _finite(norms: np.ndarray, words: Sequence[str | None]) -> np.ndarray:
     return norms
 
 
+def _valid_seed(seed) -> None:
+    """Raise ValueError naming ``seed`` unless it is an integer >= 0, numpy's
+    integers included: the only seeds numpy's generators take."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed: expected non-negative integer, got {seed!r}")
+
+
 class _ZeroVector(ValueError):
     """cosine() of a zero vector, which an evaluation leaves out."""
 
@@ -682,14 +701,14 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    pair = np.stack([a.ravel(), b.ravel()])
     with np.errstate(over="ignore"):
-        na, nb = _rescued(np.array([np.linalg.norm(a), np.linalg.norm(b)]),
-                          np.stack([a.ravel(), b.ravel()]))
+        na, nb = _rescued(np.array([np.linalg.norm(a), np.linalg.norm(b)]), pair)
     if na == 0.0 or nb == 0.0:
         raise _ZeroVector("cosine undefined for zero vector")
     if not (np.isfinite(na) and np.isfinite(nb)):
         raise ValueError("cosine undefined: a vector's norm is not finite in float64")
     if na * nb < np.finfo(np.float64).tiny:  # the product underflows: use unit vectors
-        a, b, na, nb = a / na, b / nb, 1.0, 1.0
+        (a, b), na, nb = _unit(pair, np.array([na, nb]), (None, None)), 1.0, 1.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .directions import GenderDirections
 from .embeddings import (BilingualSpace, EmbeddingSpace, _norms, _row_blocks,
-                         _ZeroVector, cosine)
+                         _unit, _ZeroVector, cosine)
 from .lexicon import AnalogyQuery, BilingualDictionary, OccupationPair
 
 logger = logging.getLogger(__name__)
@@ -185,7 +185,7 @@ def _cosine_scores(space: EmbeddingSpace, queries: np.ndarray, cols: slice) -> n
     block = space.matrix[cols]
     size = len(queries) * len(block)
     scores = np.empty(max(size, _SCORE_BUFFER))[:size].reshape(len(queries), len(block))
-    np.matmul(queries / qn[:, None], block.T, out=scores)
+    np.matmul(_unit(queries, qn, [None] * len(queries)), block.T, out=scores)
     scores /= np.where(live, norms, 1.0)
     scores[:, ~live] = -np.inf
     return scores
@@ -419,44 +419,44 @@ def word_translation_eval(bi: BilingualSpace, dictionary: BilingualDictionary,
                       details=tuple(details))
 
 
-def _ranks(score_tile, m: int, gold: np.ndarray, estimate: np.ndarray,
-           slack: float, excluded: np.ndarray, lex_rank: np.ndarray) -> np.ndarray:
+def _ranks(score_tile, m: int, gold: np.ndarray, excluded: np.ndarray,
+           lex_rank: np.ndarray) -> np.ndarray:
     """The 1-based rank of each row's gold column among the columns of a
     score block of ``m`` columns but the row's ``excluded`` ones (an (n, 3)
     array, -1 for none): strictly better scores first, equal scores broken
     by ascending ``lex_rank``.  ``score_tile(cols)`` gives the block's
     columns ``cols``, one tile of _column_tiles(m) at a time, in an array
-    this overwrites: once the golds' scores are read, the excluded cells
-    become NaN, which compares false, so they are never ahead.
-    ``estimate`` gives each gold's score to within ``slack``: a column above
-    that window is ahead and one below it is not, and the few inside it are
-    kept and compared with the gold's own score after the last tile (a
-    gold's own cell, inside its window, ties itself and is not ahead).
-    Every decision compares the block's own bits."""
+    this overwrites.  The tiles that hold the golds are scored first and
+    each gold's score read from its own tile; then every tile's columns are
+    counted against those scores, the last gold tile first while it is in
+    hand, so golds in k tiles score k - 1 tiles twice.  Excluded cells
+    become NaN, which compares false, so they are never ahead, and a gold's
+    own cell ties itself.  Every decision compares the block's own bits."""
     n = len(gold)
-    gold_score = np.zeros(n)
-    lo, hi = estimate - slack, estimate + slack
+    tiles = _column_tiles(m)
+    held = np.searchsorted([cols.start for cols in tiles], gold, side="right") - 1
+    gold_score = np.empty(n)
+    # leaves t and scores at the last gold tile.  Not np.unique: its first
+    # call in a process left the spaces an eval-pairs run freed resident
+    for t in sorted(set(held.tolist())):
+        scores = score_tile(tiles[t])
+        here = np.flatnonzero(held == t)
+        gold_score[here] = scores[here, gold[here] - tiles[t].start]
+    gold_lex = lex_rank[gold]
     ahead = np.zeros(n, dtype=np.intp)
-    # (row, score, lex_rank) of each column inside its gold's window
-    found = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp))]
-    for cols in _column_tiles(m):
-        scores = score_tile(cols)
-        here = np.flatnonzero((gold >= cols.start) & (gold < cols.stop))
-        gold_score[here] = scores[here, gold[here] - cols.start]
+    for i in [t, *range(t), *range(t + 1, len(tiles))]:
+        cols = tiles[i]
+        if i != t:
+            scores = score_tile(cols)
         r, j = np.nonzero((excluded >= cols.start) & (excluded < cols.stop))
         scores[r, excluded[r, j] - cols.start] = np.nan
+        lex = lex_rank[cols]
         for rows in _row_blocks(n, _PARTITION_ROWS):
-            block = scores[rows]
-            above = block > hi[rows, None]
-            ahead[rows] += np.count_nonzero(above, axis=1)
-            near = ~above & (block >= lo[rows, None])
-            if near.any():
-                r, c = np.nonzero(near)
-                found.append((r + rows.start, block[r, c], lex_rank[c + cols.start]))
-    rows, score, lex = map(np.concatenate, zip(*found))
-    gold_score, gold_lex = gold_score[rows], lex_rank[gold[rows]]
-    better = (score > gold_score) | ((score == gold_score) & (lex < gold_lex))
-    return 1 + ahead + np.bincount(rows[better], minlength=n)
+            block, score = scores[rows], gold_score[rows, None]
+            ahead[rows] += np.count_nonzero(
+                (block > score) | ((block == score) & (lex < gold_lex[rows, None])),
+                axis=1)
+    return 1 + ahead
 
 
 def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
@@ -500,45 +500,29 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
                                   - cosine(src.vector(pair.feminine), e)))
         except _ZeroVector:
             continue
-
-    # two roundings of a cosine of dim-component vectors differ by at most
-    # about 2·(dim + 4)·2**-53 (Higham's dot-product bound, the divisions
-    # included); the gold estimates allow 16 times that
-    slack = (src.dim + 4) * 2.0 ** -48
+    if not resolved:
+        raise ValueError("no analogy query could be resolved against the spaces")
 
     def ranks_of(rows: slice) -> np.ndarray:
         chunk = resolved[rows]
         queries = targets[rows]
-        gold = src.indices([q.gold for q in chunk])
         excluded = np.array([[src.index(w) if w in src else -1 for w in
                               (q.source_context, q.english_context, q.english_target)]
                              for q in chunk], dtype=np.intp)
-        norms = src.row_norms()[gold]
-        estimate = np.full(len(chunk), -np.inf)  # a zero gold scores -inf
-        live = norms > 0.0
-        # as _cosine_scores divides: the unit query's dot product over the
-        # gold's norm, which no underflow of two tiny vectors makes 0 / 0
-        unit = queries[live] / _norms(queries[live])[:, None]
-        estimate[live] = np.einsum("ij,ij->i", unit, src.matrix[gold[live]]) / norms[live]
         return _ranks(lambda cols: _cosine_scores(src, queries, cols), len(src),
-                      gold, estimate, slack, excluded, lex_rank)
+                      src.indices([q.gold for q in chunk]), excluded, lex_rank)
 
-    rr: dict[str, list[float]] = {"masculine": [], "feminine": []}
-    ranks = itertools.chain.from_iterable(_map_chunks(ranks_of, len(resolved)))
-    for q, rank in zip(resolved, ranks):
-        rr[q.gold_gender].append(1.0 / rank)
-    n_resolved = len(rr["masculine"]) + len(rr["feminine"])
-    if n_resolved == 0:
-        raise ValueError("no analogy query could be resolved against the spaces")
+    rr = 1.0 / np.concatenate(_map_chunks(ranks_of, len(resolved)))
+    gender = np.array([q.gold_gender for q in resolved])
     if skipped:
         logger.info("pair translation: skipped %d of %d queries (missing words)",
                     skipped, len(queries))
-    metrics: dict[str, float] = {"n_queries": float(n_resolved)}
-    if rr["feminine"]:
-        metrics["f_mrr"] = float(np.mean(rr["feminine"]))
-    if rr["masculine"]:
-        metrics["m_mrr"] = float(np.mean(rr["masculine"]))
-    if rr["feminine"] and rr["masculine"]:
+    metrics: dict[str, float] = {"n_queries": float(len(resolved))}
+    for name, key in (("feminine", "f_mrr"), ("masculine", "m_mrr")):
+        mask = gender == name
+        if mask.any():
+            metrics[key] = float(np.mean(rr[mask]))
+    if "f_mrr" in metrics and "m_mrr" in metrics:
         metrics["mrr_diff"] = abs(metrics["m_mrr"] - metrics["f_mrr"])
     if deviations is not None:
         if not deviations:
@@ -546,7 +530,7 @@ def pair_translation_eval(bi: BilingualSpace, queries: Sequence[AnalogyQuery],
                              "English-annotated occupation pair is covered")
         metrics["asd"] = float(np.mean(deviations))
     return EvalReport(task="pair_translation", metrics=metrics,
-                      coverage=n_resolved / len(queries))
+                      coverage=len(resolved) / len(queries))
 
 
 def export_projections(space: EmbeddingSpace,

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _unit
+from .embeddings import EmbeddingSpace, _unit, _valid_seed
 
 logger = logging.getLogger(__name__)
 
@@ -193,6 +193,7 @@ def _permutation(query: BiasQuery, space: EmbeddingSpace, n_perm: int,
     """
     if n_perm < MIN_PERMUTATIONS:
         raise ValueError(f"n_perm must be >= {MIN_PERMUTATIONS}, got {n_perm}")
+    _valid_seed(seed)
     if protocol is None:
         protocol = "pair_swap" if query.paired else "partition"
     if protocol not in ("pair_swap", "partition"):

@@ -25,7 +25,8 @@ import numpy as np
 
 from .directions import (DEFAULT_RIDGE, GenderDirections, bilingual_directions,
                          semantic_direction)
-from .embeddings import BilingualSpace, EmbeddingSpace, _finite, _norms, unit_normalize
+from .embeddings import (BilingualSpace, EmbeddingSpace, _finite, _norms, _unit,
+                         unit_normalize)
 from .lexicon import BilingualDictionary, GenderLexicon, identity_dictionary
 
 logger = logging.getLogger(__name__)
@@ -42,19 +43,20 @@ def _neutralize_rows(matrix: np.ndarray, rows, direction: np.ndarray,
     place.  The module's one zero/parallel/overflow check: words[row] names
     the first row that fails it (None for an unnamed vector)."""
     block = matrix[rows]  # a copy: ``matrix`` is left as it was on an error
-    sizes = _finite(_norms(block), [words[row] for row in rows])
+    names = [words[row] for row in rows]
+    sizes = _finite(_norms(block), names)
     block -= np.outer(block @ direction, direction)
     norms = _norms(block)
     bad = norms <= _PARALLEL_TOL * sizes
     if bad.any():
         i = int(np.argmax(bad))
-        word = words[rows[i]]
+        word = names[i]
         label = "" if word is None else f" for {word!r}"
         if sizes[i] == 0.0:
             raise ValueError(f"zero vector{label}")
         raise ValueError(f"vector{label} is parallel to the direction; "
                          f"neutralized residual is zero")
-    matrix[rows] = np.divide(block, norms[:, None], out=block)
+    matrix[rows] = _unit(block, norms, names, out=block)
 
 
 def _shift_rows(matrix: np.ndarray, masc, fem, anchors: np.ndarray,

@@ -241,6 +241,20 @@ class TestZeroVectors:
         assert not (tmp_path / "a.json").exists()
 
 
+    def test_audit_reads_a_row_of_tiny_components(self, cli_files, fixture_aligned,
+                                                  tmp_path):
+        # the squares of (3e-160, ...) are subnormal: the row's norm was
+        # once 5.6e-6 off, and its unit row refused as unit
+        space = fixture_aligned.source
+        path = tmp_path / "tiny.vec"
+        save_text_embeddings(EmbeddingSpace(
+            [*space.words, "tiny"],
+            np.vstack([space.matrix, np.full(space.dim, 3e-160)])), path)
+        code = main(["audit", "--embeddings", str(path),
+                     "--lexicon", str(cli_files["lex"]), "--n-perm", "100",
+                     "--out", str(tmp_path / "a.json")])
+        assert code == 0
+
     def test_mitigate_names_a_zero_english_row(self, cli_files, fixture_aligned,
                                                tmp_path, capsys):
         cfg = EnglishDebiasConfig.from_lexicon(fixture_aligned.english_lexicon)

@@ -251,6 +251,15 @@ class TestLdaCrossValidation:
         b = lda_cross_validation(space, masc, fem, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        rng = np.random.default_rng(2)
+        space, masc, fem = class_space(rng, 30, 6, np.eye(6)[0], 0.3)
+        with pytest.raises(ValueError, match="^seed: expected non-negative integer"):
+            lda_cross_validation(space, masc, fem, seed=seed)
+        assert (lda_cross_validation(space, masc, fem, seed=np.uint8(5))
+                == lda_cross_validation(space, masc, fem, seed=5))
+
     def test_fold_count_validated(self):
         space = small_space(20, 4, seed=0)
         masc = [f"w{i:03d}" for i in range(10)]

@@ -159,6 +159,15 @@ class TestNormalization:
         with pytest.raises(ValueError, match=re.escape("declared normalized but ||'a'||")):
             EmbeddingSpace(["a"], [[1e-170, 1e-170]], normalized=True)
 
+    @pytest.mark.parametrize("row", [[3e-160, 3e-160], [5e-162, 1e-170]])
+    def test_partly_underflowing_row_gets_its_true_norm(self, row):
+        # some squares are subnormal, a few bits wide: the norm of (3e-160,
+        # 3e-160) was once 5.6e-6 off, and its unit row refused as unit
+        space = EmbeddingSpace(["a"], [row])
+        assert space.row_norms()[0] == pytest.approx(math.hypot(*row), rel=1e-15)
+        unit = unit_normalize(space)
+        assert math.hypot(*unit.matrix[0]) == pytest.approx(1.0, abs=1e-15)
+
     def test_subnormal_norm_still_gives_a_unit_row(self):
         # the norm of (5e-322, 5e-322) is itself subnormal, a few bits wide:
         # dividing by it once left a row of norm 1.0005, refused as unit
@@ -205,6 +214,13 @@ class TestCosine:
         tiny = np.asarray([1e-170, 3e-170])
         assert cosine(tiny, tiny) == pytest.approx(1.0)
         assert cosine(tiny, -tiny[::-1]) == pytest.approx(-0.6)
+
+    @pytest.mark.parametrize("tiny, want", [([5e-162, 1e-170], 0.7071067826007611),
+                                            ([5e-322, 5e-322], 1.0)])
+    def test_vector_without_a_normal_square_keeps_its_direction(self, tiny, want):
+        # once 0.71134, from a lossy norm, and 0.99885, from a division by a
+        # subnormal norm
+        assert cosine(np.asarray(tiny), np.ones(2)) == pytest.approx(want, abs=1e-15)
 
     def test_identical_and_opposite(self):
         v = np.asarray([0.6, 0.8])
@@ -289,6 +305,9 @@ class TestTopK:
         assert [n.word for n in got] == ["a", "b", "c"]
         assert got[0].score == pytest.approx(1.0, abs=1e-15)
         assert top_k(np.asarray([1e-170, 1e-170]), space, k=1)[0].word == "a"
+        # a query with a subnormal norm is a unit row before the product
+        got = top_k(np.asarray([5e-322, 5e-322]), space, k=1)[0]
+        assert got.word == "a" and got.score == pytest.approx(1.0, abs=1e-15)
 
 
 class TestTextFormat:
@@ -615,8 +634,10 @@ class TestDerivedCaches:
     @given(data=st.data(), dim=st.integers(1, 5))
     def test_stored_row_norms_are_bit_identical_to_a_fresh_norm(self, data, dim):
         # ordinary rows mixed with zero rows, rows whose squares underflow
-        # and rows whose norm overflows, through every way a space is built
-        scale = {"ordinary": 1.0, "zero": 0.0, "tiny": 1e-170, "huge": 1e200}
+        # all or in part, and rows whose norm overflows, through every way a
+        # space is built
+        scale = {"ordinary": 1.0, "zero": 0.0, "tiny": 1e-170, "partly": 1e-160,
+                 "huge": 1e200}
         kinds = data.draw(st.lists(st.sampled_from(sorted(scale)), min_size=1,
                                    max_size=8), label="kinds")
         rows = data.draw(arrays(np.float64, (len(kinds), dim),
@@ -635,10 +656,14 @@ class TestDerivedCaches:
                 fresh = np.linalg.norm(space.matrix, axis=1)
             live = np.any(space.matrix != 0.0, axis=1)
             over = np.isinf(fresh)
-            plain = ~over & ~(live & (fresh == 0.0))   # not over- or underflowing
+            # a row without a component of at least 2**-511 loses bits of
+            # its squares to underflow
+            tiny = live & (np.abs(space.matrix).max(axis=1) < 2.0 ** -511)
+            plain = ~over & ~tiny
             stored = space._row_norms
             assert stored[plain].tobytes() == fresh[plain].tobytes()
-            assert np.all(stored[live & ~over] > 0.0)  # an underflowing row's true norm
+            for i in np.flatnonzero(tiny):   # an underflowing row's true norm
+                assert stored[i] == pytest.approx(math.hypot(*space.matrix[i]), rel=1e-15)
             assert not stored.flags.writeable
             if over.any():
                 word = space.words[int(np.argmax(over))]

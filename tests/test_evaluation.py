@@ -362,8 +362,8 @@ class TestPairTranslation:
         rep = pair_translation_eval(BilingualSpace(src, tgt), [query])
         assert rep.coverage == 1.0
         assert rep.metrics["f_mrr"] == 1.0
-        # a tiny gold orthogonal to it ranks after "other": its score
-        # estimate must not read 0 / 0, which would put it first
+        # a tiny gold orthogonal to it ranks after "other": its score must
+        # not read 0 / 0, which would put it first
         src = src.with_matrix([[1e-170, 1e-170], [1e-170, -1e-170], [1.0, 1.0]])
         rep = pair_translation_eval(BilingualSpace(src, tgt), [query])
         assert rep.metrics["f_mrr"] == 0.5
@@ -646,8 +646,8 @@ def test_short_score_tiles_sit_in_a_buffer_malloc_maps_on_its_own():
 
 
 # Quantized scores force exact ties (-0.0 ties 0.0), -inf is what a zero
-# row scores, and scores 1e-13 or one ulp apart fall within the CSLS and
-# gold slacks.
+# row scores, and scores 1e-13 or one ulp apart fall within the CSLS
+# slack.
 TILE_SCORES = st.one_of(
     st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, np.nextafter(0.5, 1.0),
                      0.5 + 1e-13, 1.0]),
@@ -758,13 +758,31 @@ class TestColumnTileMerges:
         mask = np.ones((n, m), dtype=bool)
         r, j = np.nonzero(excluded >= 0)
         mask[r, excluded[r, j]] = False
-        # each gold's score known to within the slack before its own tile
-        slack = 1e-9
-        noise = data.draw(arrays(np.float64, n, elements=st.floats(-slack / 2, slack / 2)))
-        estimate = scores[np.arange(n), gold] + noise
         with tiled(*shape):
-            got = evaluation._ranks(tiles, m, gold, estimate, slack, excluded, lex_rank)
+            got = evaluation._ranks(tiles, m, gold, excluded, lex_rank)
         assert got.tolist() == oracles._rank_of(scores, gold, mask, lex_rank).tolist()
+
+    @pytest.mark.parametrize("golds, gold_tiles", [([5, 6, 7], 1), ([7, 0, 20], 3),
+                                                   ([20, 17, 10], 2)])
+    def test_rank_scores_each_gold_tile_but_the_last_twice(self, golds, gold_tiles):
+        # tiles of 4 over 21 columns: 0-3, 4-7, 8-11, 12-15 and 16-20, the
+        # one-column tile joined to the one before; the last gold tile is
+        # counted while it is in hand, every other one is scored again
+        rng = np.random.default_rng(9)
+        scores = rng.standard_normal((3, 21))
+        calls = []
+
+        def tiles(cols):
+            calls.append(cols)
+            return scores[:, cols].copy()
+
+        with tiled(4):
+            got = evaluation._ranks(tiles, 21, np.array(golds), np.full((3, 3), -1),
+                                    np.arange(21))
+            assert len(calls) == len(evaluation._column_tiles(21)) + gold_tiles - 1
+        assert got.tolist() == oracles._rank_of(scores, np.array(golds),
+                                                np.ones((3, 21), bool),
+                                                np.arange(21)).tolist()
 
 
 @settings(max_examples=300, deadline=None)

@@ -239,6 +239,17 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test(query, space, n_perm=50)
 
+    @pytest.mark.parametrize("n_pairs", [12, 30])   # enumerated, then sampled
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_must_be_a_non_negative_integer(self, n_pairs, seed):
+        # -1 was once never read on 12 pairs and refused by numpy, unnamed,
+        # on 30
+        space, query = mirror_space(n_pairs)
+        with pytest.raises(ValueError, match="^seed: expected non-negative integer"):
+            permutation_test(query, space, n_perm=500, seed=seed)
+        assert (permutation_test(query, space, n_perm=500, seed=np.int64(3))
+                == permutation_test(query, space, n_perm=500, seed=3))
+
     def test_pair_swap_requires_paired_query(self):
         space, vecs, X, Y, A, B = random_instance(1)
         q = BiasQuery(X, Y[:4], A, B, paired=False)

@@ -108,6 +108,11 @@ class TestPrimitives:
         got = neutralize([1e-170, 1e-170, 0.0, 0.0], d)
         assert got == pytest.approx([math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0], abs=1e-15)
 
+    def test_neutralize_subnormal_norm_still_gives_a_unit_row(self):
+        # the residual's norm is subnormal, too few bits to divide by
+        got = neutralize([5e-322, 5e-322, 0.0, 0.0], np.eye(4)[2])
+        assert got == pytest.approx([math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0], abs=1e-15)
+
     def test_neutralize_overflowing_vector_rejected(self):
         # its squares overflow float64, as everywhere a norm is needed; no
         # numpy warning may come first
